@@ -5,8 +5,11 @@ lexicographic (i, j, k) order; for n = 2 the order is (a1, a2, b1, b2, c1, c2,
 d1, d2) matching e1e1 = a1 e1 + a2 e2, e1e2 = b1 e1 + b2 e2, e2e1 = ...,
 e2e2 = ....  The defining equation system of each identity kind is generated
 mechanically from the identity on basis triples, never transcribed from a
-printed list, so enumeration over GF(p) is a plain scan of all p^(n^3)
-tuples with early exit.
+printed list: expanding the identity's defect on every triple gives integer
+equations, linear or quadratic in the flat constants.  Enumeration over GF(p)
+solves them depth-first, fixing the constants one by one in lexicographic
+order and checking each equation as soon as its highest constant is fixed,
+so whole subtrees of the p^(n^3) tuples are cut at once.
 
 Orbits are computed by closing each unassigned solution under the full
 GL_n(F_p) basis-change action; at desk scale (p <= 7, n <= 2) this is exact
@@ -19,12 +22,14 @@ counts.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .algebra import Algebra, IDENTITY_KINDS, apply_basis_change, default_labels
-from .errors import FieldError, ShapeError
+from .algebra import (Algebra, IDENTITY_KINDS, apply_basis_change,
+                      default_labels, passes_identity)
+from .errors import FieldError, MockLieError, ShapeError
 from .fields import PrimeField, RationalField, characteristic_warnings
 from .linalg import LinearMap
 
@@ -80,162 +85,149 @@ def tuple_from_algebra(alg: Algebra) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fast identity predicates on raw mod-p tuples
+# identity equations over flat indices, and the depth-first solver
 # ---------------------------------------------------------------------------
 
-def _prod(c, n, p, i, j, k):
-    # coordinate k of e_i * e_j
-    return c[(i * n + j) * n + k]
-
-
-def _vec_prod_basis(c, n, p, vec, k):
-    # (sum_m vec[m] e_m) * e_k
-    return tuple(
-        sum(vec[m] * _prod(c, n, p, m, k, t) for m in range(n)) % p
-        for t in range(n)
-    )
-
-
-def _basis_prod_vec(c, n, p, i, vec):
-    return tuple(
-        sum(vec[m] * _prod(c, n, p, i, m, t) for m in range(n)) % p
-        for t in range(n)
-    )
-
-
-def _row(c, n, i, j):
-    base = (i * n + j) * n
-    return c[base:base + n]
-
-
-def _antiassociator_raw(c, n, p, i, j, k):
-    left = _vec_prod_basis(c, n, p, _row(c, n, i, j), k)
-    right = _basis_prod_vec(c, n, p, i, _row(c, n, j, k))
-    return tuple((a + b) % p for a, b in zip(left, right))
-
-
-def _passes_antiassociative(c, n, p):
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if any(_antiassociator_raw(c, n, p, i, j, k)):
-                    return False
-    return True
-
-
-def _passes_left_pre_jj(c, n, p):
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                d1 = _antiassociator_raw(c, n, p, i, j, k)
-                d2 = _antiassociator_raw(c, n, p, j, i, k)
-                if any((a + b) % p for a, b in zip(d1, d2)):
-                    return False
-    return True
-
-
-def _passes_right_pre_jj(c, n, p):
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                d1 = _antiassociator_raw(c, n, p, i, j, k)
-                d2 = _antiassociator_raw(c, n, p, i, k, j)
-                if any((a + b) % p for a, b in zip(d1, d2)):
-                    return False
-    return True
-
-
-def _passes_operad(c, n, p):
-    return _passes_left_pre_jj(c, n, p)
-
-
-def _passes_jj(c, n, p):
-    for i in range(n):
-        for j in range(i + 1, n):
-            if any((a - b) % p for a, b in zip(_row(c, n, i, j), _row(c, n, j, i))):
-                return False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t1 = _vec_prod_basis(c, n, p, _row(c, n, i, j), k)
-                t2 = _vec_prod_basis(c, n, p, _row(c, n, k, i), j)
-                t3 = _vec_prod_basis(c, n, p, _row(c, n, j, k), i)
-                if any((a + b + d) % p for a, b, d in zip(t1, t2, t3)):
-                    return False
-    return True
-
-
-_RAW_PREDICATES = {
-    "antiassociative": _passes_antiassociative,
-    "left_pre_jj": _passes_left_pre_jj,
-    "right_pre_jj": _passes_right_pre_jj,
-    "operad": _passes_operad,
-    "jj": _passes_jj,
+# The defect of each identity kind on basis triples (x, y, z), written as in
+# its definition: juxtaposition is the product, one word per term.
+_IDENTITIES = {
+    "antiassociative": ("(xy)z + x(yz)",),
+    "left_pre_jj": ("(xy)z + x(yz) + (yx)z + y(xz)",),
+    "right_pre_jj": ("(xy)z + x(yz) + (xz)y + x(zy)",),
+    "operad": ("(xy)z + x(yz) + (yx)z + y(xz)",),
+    "jj": ("xy - yx", "(xy)z + (zx)y + (yz)x"),
 }
 
 
-def _scan_slab(p: int, n: int, kind: str, prefix: tuple) -> list[tuple]:
-    """All solutions whose tuple starts with ``prefix``, in lex order."""
-    predicate = _RAW_PREDICATES[kind]
-    free = n ** 3 - len(prefix)
+@lru_cache(maxsize=None)
+def _equations(n: int, p: int, kind: str) -> tuple:
+    """The identity ``kind`` as integer equations over flat indices.
+
+    An equation is a tuple of terms (coefficient, u, w) meaning
+    coefficient * x_u * x_w; index n^3 stands for the constant 1, so linear
+    terms take the same form.  Coefficients are reduced mod p and equations
+    that vanish identically are dropped.  Entry d of the result holds the
+    equations whose highest variable is x_d.
+    """
+    one = n ** 3
+
+    def var(a, b, t):
+        return (a * n + b) * n + t
+
+    equations = set()
+    for triple in itertools.product(range(n), repeat=3):
+        for identity in _IDENTITIES[kind]:
+            polys = [{} for _ in range(n)]   # coordinate t -> {(u, w): coef}
+            for term in identity.replace("+ ", "").replace("- ", "-").split():
+                sign = -1 if term[0] == "-" else 1
+                word = term.lstrip("-")
+                idx = [triple["xyz".index(ch)] for ch in word if ch in "xyz"]
+                for t in range(n):
+                    if len(idx) == 2:      # ab: x_abt
+                        monos = [(var(*idx, t), one)]
+                    elif word[0] == "(":   # (ab)c: sum_m x_abm x_mct
+                        a, b, c = idx
+                        monos = [(var(a, b, m), var(m, c, t)) for m in range(n)]
+                    else:                  # a(bc): sum_m x_bcm x_amt
+                        a, b, c = idx
+                        monos = [(var(b, c, m), var(a, m, t)) for m in range(n)]
+                    for mono in map(tuple, map(sorted, monos)):
+                        polys[t][mono] = polys[t].get(mono, 0) + sign
+            for poly in polys:
+                eq = tuple((c % p, u, w) for (u, w), c in sorted(poly.items()) if c % p)
+                if eq:
+                    equations.add(eq)
+    by_highest = [[] for _ in range(one)]
+    for eq in sorted(equations):
+        by_highest[max(w if w != one else u for _, u, w in eq)].append(eq)
+    return tuple(tuple(eqs) for eqs in by_highest)
+
+
+def _holds(equations, vals, p) -> bool:
+    return all(
+        sum(c * vals[u] * vals[w] for c, u, w in eq) % p == 0 for eq in equations
+    )
+
+
+def _solve_subtree(p: int, n: int, kind: str, first: int) -> tuple[list, int]:
+    """Solutions starting with ``first``, in lex order, and the number of
+    (variable, value) assignments tried."""
+    by_highest = _equations(n, p, kind)
+    last = n ** 3 - 1
+    vals = [0] * (last + 1) + [1]
     out = []
-    for tail in itertools.product(range(p), repeat=free):
-        c = prefix + tail
-        if predicate(c, n, p):
-            out.append(c)
-    return out
+    visited = 0
+
+    def descend(d, values):
+        nonlocal visited
+        for v in values:
+            visited += 1
+            vals[d] = v
+            if not _holds(by_highest[d], vals, p):
+                continue
+            if d < last:
+                descend(d + 1, range(p))
+            else:
+                out.append(tuple(vals[:-1]))
+
+    descend(0, (first,))
+    return out, visited
+
+
+def pool_size(workers: int, tasks: int) -> int:
+    """Worker processes to start for ``tasks`` independent tasks."""
+    if workers < 1:
+        raise MockLieError(f"workers must be at least 1, got {workers}")
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def enumerate_solutions(dim: int, field, kind: str, candidates=None,
-                        max_scan: int = DEFAULT_MAX_SCAN,
-                        workers: int = 1) -> list[ConstantTuple]:
+                        max_scan: int = DEFAULT_MAX_SCAN, workers: int = 1,
+                        stats: dict | None = None) -> list[ConstantTuple]:
     """All structure-constant tuples of dimension ``dim`` passing ``kind``.
 
-    Over a prime field this scans all p^(dim^3) tuples (guarded by
-    ``max_scan``) in lexicographic order.  Over the rationals no enumeration
-    is possible; pass explicit ``candidates`` and they are verified instead.
+    Over a prime field the identity's equations are solved depth-first,
+    fixing the constants in lexicographic order with ascending values and
+    checking each equation once its highest variable is fixed; solutions
+    come out in lexicographic order.  ``max_scan`` bounds the search space
+    p^(dim^3).  Up to ``workers`` processes share the subtrees of the first
+    constant; a ``stats`` dict receives ``visited``, the assignments tried.
+    Given ``candidates``, only those are verified (the only mode over QQ).
     """
     if kind not in IDENTITY_KINDS:
         raise FieldError(f"unknown identity kind {kind!r}")
-    if isinstance(field, RationalField):
-        if candidates is None:
-            raise FieldError(
-                "exhaustive enumeration needs a prime field; over the "
-                "rationals supply candidate tuples to verify"
-            )
-        out = []
-        for cand in candidates:
-            entries = tuple(field.of(x) for x in cand)
-            alg = algebra_from_tuple(field, dim, entries)
-            from .algebra import passes_identity
-
-            if passes_identity(alg, kind):
-                out.append(ConstantTuple(dim, entries))
-        return out
-    if not isinstance(field, PrimeField):
+    if not isinstance(field, (PrimeField, RationalField)):
         raise FieldError(f"unsupported field {field!r}")
-    p = field.p
     if candidates is not None:
-        out = []
-        for cand in candidates:
-            c = tuple(field.of(x) for x in cand)
-            if _RAW_PREDICATES[kind](c, dim, p):
-                out.append(ConstantTuple(dim, c))
-        return out
+        tuples = [ConstantTuple(dim, tuple(map(field.of, c))) for c in candidates]
+        if isinstance(field, RationalField):
+            return [c for c in tuples if passes_identity(
+                algebra_from_tuple(field, dim, c.entries), kind)]
+        equations = [eq for eqs in _equations(dim, field.p, kind) for eq in eqs]
+        return [c for c in tuples if _holds(equations, c.entries + (1,), field.p)]
+    if isinstance(field, RationalField):
+        raise FieldError(
+            "exhaustive enumeration needs a prime field; over the "
+            "rationals supply candidate tuples to verify"
+        )
+    p = field.p
+    size = pool_size(workers, p)
     count = p ** (dim ** 3)
     if count > max_scan:
         raise FieldError(
             f"scan of {count} tuples exceeds the limit of {max_scan}; "
             f"raise max_scan to force it"
         )
-    prefixes = [(v,) for v in range(p)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_slab, [p] * p, [dim] * p,
-                                   [kind] * p, prefixes))
+    firsts = range(p)
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            subtrees = list(pool.map(_solve_subtree, [p] * p, [dim] * p,
+                                     [kind] * p, firsts))
     else:
-        chunks = [_scan_slab(p, dim, kind, pre) for pre in prefixes]
-    return [ConstantTuple(dim, c) for chunk in chunks for c in chunk]
+        subtrees = [_solve_subtree(p, dim, kind, v) for v in firsts]
+    if stats is not None:
+        stats["visited"] = sum(visited for _, visited in subtrees)
+    return [ConstantTuple(dim, c) for sols, _ in subtrees for c in sols]
 
 
 @lru_cache(maxsize=None)
@@ -367,8 +359,9 @@ def classify(dim: int, field: PrimeField, kind: str,
     if not isinstance(field, PrimeField):
         raise FieldError("classification runs over prime fields")
     p = field.p
-    solutions = enumerate_solutions(dim, field, kind,
-                                    max_scan=max_scan, workers=workers)
+    stats = {}
+    solutions = enumerate_solutions(dim, field, kind, max_scan=max_scan,
+                                    workers=workers, stats=stats)
     tuples = [s.entries for s in solutions]
     solution_set = set(tuples)
     gl = gl_matrices(p, dim)
@@ -396,5 +389,6 @@ def classify(dim: int, field: PrimeField, kind: str,
             "scanned": p ** (dim ** 3),
             "gl_order": len(gl),
             "workers": workers,
+            "visited": stats["visited"],
         },
     )

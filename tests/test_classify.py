@@ -1,3 +1,6 @@
+import itertools
+import os
+
 import pytest
 
 from conftest import GF2, GF3, GF5, brute_force_antiassociative, seeded
@@ -10,11 +13,13 @@ from mocklie.classify import (
     enumerate_solutions,
     find_isomorphism,
     gl_matrices,
+    pool_size,
     transport_tuple,
     tuple_from_algebra,
 )
-from mocklie.errors import FieldError, ShapeError
+from mocklie.errors import FieldError, MockLieError, ShapeError
 from mocklie.fields import QQ, prime_field
+from mocklie.formats import census_to_json
 from mocklie.linalg import LinearMap
 
 
@@ -39,6 +44,47 @@ def test_enumeration_matches_independent_brute_force(p):
     lib = {s.entries for s in enumerate_solutions(2, field, "antiassociative")}
     assert lib == oracle
     assert len(oracle) == {2: 28, 3: 9}[p]
+
+
+# Solution counts in the order antiassociative, left_pre_jj, right_pre_jj,
+# jj, operad.  Dim 1 has e1e1 = a e1 and the identities read 2a^2 = 0
+# (antiassociative), 4a^2 = 0 (left, right, operad) and 3a^2 = 0 (jj).  In
+# characteristic 2 every a solves all but jj (3 = 1, so a = 0); in
+# characteristic 3 every a solves jj and only a = 0 the others; elsewhere
+# only a = 0 solves any.  The dim-2 counts are the census sizes.
+SOLUTION_COUNTS = {
+    (1, 2): (2, 2, 2, 1, 2),
+    (1, 3): (1, 1, 1, 3, 1),
+    (1, 5): (1, 1, 1, 1, 1),
+    (1, 7): (1, 1, 1, 1, 1),
+    (2, 2): (28, 58, 58, 7, 58),
+    (2, 3): (9, 9, 9, 105, 9),
+}
+
+
+@pytest.mark.parametrize("dim, p", sorted(SOLUTION_COUNTS))
+def test_enumeration_matches_defect_generators(dim, p):
+    # oracle: every tuple through the defect generators of ``algebra``
+    field = prime_field(p)
+    tuples = list(itertools.product(range(p), repeat=dim ** 3))
+    algebras = [algebra_from_tuple(field, dim, c) for c in tuples]
+    for kind, count in zip(IDENTITY_KINDS, SOLUTION_COUNTS[dim, p]):
+        oracle = [c for c, alg in zip(tuples, algebras) if passes_identity(alg, kind)]
+        lib = [s.entries for s in enumerate_solutions(dim, field, kind)]
+        assert lib == oracle
+        assert len(lib) == count
+
+
+def test_prime_field_candidates_match_defect_generators(classes_f5):
+    names = ("zero", "e1e1=e2", "e2e1=e2", "e2e2=e1")
+    cands = [tuple_from_algebra(classes_f5[name]) for name in names]
+    for kind in IDENTITY_KINDS:
+        verified = [c.entries for c in
+                    enumerate_solutions(2, GF5, kind, candidates=cands)]
+        assert verified == [c for c in cands if passes_identity(
+            algebra_from_tuple(GF5, 2, c), kind)]
+        # e2e1=e2 fails every kind (see acceptance criteria 1 and 2)
+        assert verified == [ZERO8, SQUARE_TUPLE, CUBE_TUPLE]
 
 
 def test_zero_tuple_is_always_a_solution():
@@ -183,6 +229,20 @@ def test_classify_dim2_f5_prejj_matches_antiassociative():
     ]
 
 
+def test_classify_dim2_f7_beyond_the_scan():
+    # |GL(2,7)| = (49 - 1)(49 - 7) = 48 * 42 = 2016.  The stabiliser of
+    # e1e1=e2 is {f1 = a e1 + b e2, f2 = a^2 e2} with a != 0: 6 * 7 = 42
+    # elements, so its orbit has 2016 / 42 = 48 members; with zero that is
+    # 49 solutions, and the lex-smallest member is e2e2=e1.
+    gf7 = prime_field(7)
+    expected = [(ZERO8, 1), (CUBE_TUPLE, 48)]
+    for kind in ("antiassociative", "jj", "left_pre_jj", "right_pre_jj", "operad"):
+        census = classify(2, gf7, kind)
+        assert census.total == 49
+        assert [(o.representative, o.size) for o in census.orbits] == expected
+        assert census.metadata["gl_order"] == 2016
+
+
 def test_classify_dim2_f2():
     census = classify(2, GF2, "antiassociative")
     assert census.total == 28
@@ -209,6 +269,38 @@ def test_classify_deterministic_and_worker_independent():
     c = classify(2, GF3, "antiassociative", workers=2)
     assert a.orbits == b.orbits == c.orbits
     assert a.total == c.total
+    for kind in IDENTITY_KINDS:
+        serial = census_to_json(classify(2, GF3, kind))
+        pooled = census_to_json(classify(2, GF3, kind, workers=2))
+        assert serial["metadata"].pop("workers") == 1
+        assert pooled["metadata"].pop("workers") == 2
+        assert serial == pooled
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pool_size(1, 5) == 1
+    assert pool_size(3, 5) == 3
+    assert pool_size(10 ** 6, 5) == 4
+    assert pool_size(10 ** 6, 3) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(8, 5) == 1
+    for bad in (0, -1):
+        with pytest.raises(MockLieError, match="workers"):
+            pool_size(bad, 5)
+
+
+def test_classify_workers_guard_and_metadata():
+    for bad in (0, -2):
+        with pytest.raises(MockLieError, match="workers"):
+            classify(1, GF2, "antiassociative", workers=bad)
+    # the pool is clamped to at most p = 2 processes; the requested count
+    # is what the census records
+    census = classify(1, GF2, "antiassociative", workers=64)
+    assert census.metadata["workers"] == 64
+    # dim 1 has one constant, and each of its p values is tried once
+    assert census.metadata["visited"] == 2
+    assert classify(1, GF5, "jj").metadata["visited"] == 5
 
 
 def test_classify_guards():

@@ -192,6 +192,16 @@ def test_classify_infeasible(tmp_path):
                  "--out", str(tmp_path / "c.json")]) == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_classify_rejects_nonpositive_workers(tmp_path, capsys, workers):
+    out = tmp_path / "c.json"
+    assert main(["classify", "--dim", "1", "--prime", "5",
+                 "--workers", workers, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "workers" in err[0]
+    assert not out.exists()
+
+
 def test_iso_found_and_not_found(tmp_path):
     a = write_algebra(tmp_path / "a.json", class_algebra("e1e1=e2", GF5))
     b = write_algebra(tmp_path / "b.json", class_algebra("e2e2=e1", GF5))
