@@ -4,7 +4,8 @@ An ``Algebra`` is a finite-dimensional vector space with a bilinear product
 stored as a structure-constant tensor: ``c[i][j]`` is the coordinate vector
 of ``e_i * e_j``, so ``e_i * e_j = sum_k c[i][j][k] e_k``.  All identity
 checks run on basis tuples only; bilinearity makes that sufficient and keeps
-every check exact and O(n^3).
+every check exact and O(n^3).  Each identity is defined once, by its defect
+generator; the census solver in ``classify`` compiles its equations from it.
 
 Identity kinds
 --------------
@@ -13,7 +14,8 @@ Identity kinds
                       antisymmetric in x, y
 ``right_pre_jj``      the antiassociator is antisymmetric in y, z
 ``operad``            (xy)z + x(yz) + (yx)z + y(xz) = 0, the expanded
-                      operator form of ``left_pre_jj``
+                      operator form of ``left_pre_jj``; the two defect sums
+                      are identical, so both share one generator
 ``jj``                commutativity plus the Jacobi identity
                       (xy)z + (zx)y + (yz)x = 0
 """
@@ -256,21 +258,6 @@ def _defects_right_pre_jj(alg: Algebra):
                 yield (i, j, k), d
 
 
-def _defects_operad(alg: Algebra):
-    # mu(mu x id) + mu(id x mu) + mu((mu tau) x id) + mu(id x (mu tau)),
-    # written out on basis triples as (xy)z + x(yz) + (yx)z + y(xz).
-    n = alg.dim
-    f = alg.field
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                d = _vec_times_basis(alg, alg.c[i][j], k)
-                d = vec_add(f, d, _basis_times_vec(alg, i, alg.c[j][k]))
-                d = vec_add(f, d, _vec_times_basis(alg, alg.c[j][i], k))
-                d = vec_add(f, d, _basis_times_vec(alg, j, alg.c[i][k]))
-                yield (i, j, k), d
-
-
 def _defects_jj(alg: Algebra):
     n = alg.dim
     f = alg.field
@@ -288,7 +275,7 @@ _DEFECT_GENERATORS = {
     "antiassociative": _defects_antiassociative,
     "left_pre_jj": _defects_left_pre_jj,
     "right_pre_jj": _defects_right_pre_jj,
-    "operad": _defects_operad,
+    "operad": _defects_left_pre_jj,
     "jj": _defects_jj,
 }
 
@@ -323,25 +310,23 @@ def report_from_defects(name, field, defect_iter, max_witnesses=DEFAULT_MAX_WITN
 def check_identity(alg: Algebra, kind: str,
                    max_witnesses: int = DEFAULT_MAX_WITNESSES) -> CheckReport:
     """Check one of the defining identities on all basis tuples."""
-    try:
-        gen = _DEFECT_GENERATORS[kind]
-    except KeyError:
-        raise FieldError(
-            f"unknown identity kind {kind!r}; expected one of {IDENTITY_KINDS}"
-        ) from None
-    return report_from_defects(kind, alg.field, gen(alg), max_witnesses)
+    return report_from_defects(kind, alg.field, _defects(alg, kind), max_witnesses)
 
 
 def passes_identity(alg: Algebra, kind: str) -> bool:
     """Early-exit verdict of ``check_identity`` (no witness collection)."""
+    f = alg.field
+    return all(vec_is_zero(f, defect) for _, defect in _defects(alg, kind))
+
+
+def _defects(alg: Algebra, kind: str):
     try:
         gen = _DEFECT_GENERATORS[kind]
     except KeyError:
         raise FieldError(
             f"unknown identity kind {kind!r}; expected one of {IDENTITY_KINDS}"
         ) from None
-    f = alg.field
-    return all(vec_is_zero(f, defect) for _, defect in gen(alg))
+    return gen(alg)
 
 
 def sub_adjacent(alg: Algebra, halved: bool = False) -> Algebra:
@@ -460,22 +445,33 @@ def apply_basis_change(alg: Algebra, p: LinearMap) -> Algebra:
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """Block-diagonal sum: both summands are subalgebras, cross terms vanish."""
+    za = tuple(LinearMap.zeros(a.field, a.dim, a.dim) for _ in range(b.dim))
+    zb = tuple(LinearMap.zeros(a.field, b.dim, b.dim) for _ in range(a.dim))
+    return _block_product(a, b, zb, zb, za, za)
+
+
+def _block_product(a: Algebra, b: Algebra, la, ra, lb, rb) -> Algebra:
+    """The product on A + B, basis of A first, given by
+
+        (x+u)(y+w) = xy + lB(u)y + rB(w)x  +  uw + lA(x)w + rA(y)u.
+
+    ``la``, ``ra`` hold one map on B per basis element of A and ``lb``,
+    ``rb`` one map on A per basis element of B.  Direct sums, semidirect
+    sums and both bicrossed products are this product.
+    """
     require_same_field(a.field, b.field)
-    f = a.field
     n, m = a.dim, b.dim
     labels = a.labels + b.labels
     if len(set(labels)) != n + m:
         labels = default_labels(n + m)
-    zero = vec_zero(f, n + m)
-    table = []
-    for i in range(n + m):
-        row = []
-        for j in range(n + m):
-            if i < n and j < n:
-                row.append(a.c[i][j] + vec_zero(f, m))
-            elif i >= n and j >= n:
-                row.append(vec_zero(f, n) + b.c[i - n][j - n])
-            else:
-                row.append(zero)
-        table.append(tuple(row))
-    return Algebra(f, labels, tuple(table))
+    zero_a, zero_b = vec_zero(a.field, n), vec_zero(a.field, m)
+    table = tuple(
+        tuple(a.c[i][j] + zero_b for j in range(n))
+        + tuple(rb[w].column(i) + la[i].column(w) for w in range(m))
+        for i in range(n)
+    ) + tuple(
+        tuple(lb[u].column(j) + ra[j].column(u) for j in range(n))
+        + tuple(zero_a + b.c[u][w] for w in range(m))
+        for u in range(m)
+    )
+    return Algebra(a.field, labels, table)

@@ -3,16 +3,17 @@
 Structure constants of a dim-n algebra are flattened to length-n^3 tuples in
 lexicographic (i, j, k) order; for n = 2 the order is (a1, a2, b1, b2, c1, c2,
 d1, d2) matching e1e1 = a1 e1 + a2 e2, e1e2 = b1 e1 + b2 e2, e2e1 = ...,
-e2e2 = ....  The defining equation system of each identity kind is generated
-mechanically from the identity on basis triples, never transcribed from a
-printed list: expanding the identity's defect on every triple gives integer
-equations, linear or quadratic in the flat constants.  Enumeration over GF(p)
-solves them depth-first, fixing the constants one by one in lexicographic
-order and checking each equation as soon as its highest constant is fixed,
-so whole subtrees of the p^(n^3) tuples are cut at once.
+e2e2 = ....  The equations of each identity kind come from its defect
+generator in ``algebra``, the same code ``check_identity`` runs: run over
+an algebra whose constants are variables, it yields integer equations,
+linear or quadratic in the flat constants.  Enumeration over GF(p) solves
+them depth-first, fixing the constants one by one in lexicographic order
+and checking each equation as soon as its highest constant is fixed, so
+whole subtrees of the p^(n^3) tuples are cut at once.
 
 Orbits are computed by closing each unassigned solution under the full
-GL_n(F_p) basis-change action; at desk scale (p <= 7, n <= 2) this is exact
+GL_n(F_p) basis-change action, using the group and its inverses, which are
+computed once per (p, n); at desk scale (p <= 7, n <= 2) this is exact
 and cheap.  Everything is deterministic: solutions are produced in
 lexicographic order, orbit representatives are the lexicographically
 smallest members, censuses compare byte-identical across runs and worker
@@ -27,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .algebra import (Algebra, IDENTITY_KINDS, apply_basis_change,
-                      default_labels, passes_identity)
+from .algebra import (Algebra, IDENTITY_KINDS, _DEFECT_GENERATORS,
+                      apply_basis_change, default_labels, passes_identity)
 from .errors import FieldError, MockLieError, ShapeError
 from .fields import PrimeField, RationalField, characteristic_warnings
 from .linalg import LinearMap
@@ -88,55 +89,62 @@ def tuple_from_algebra(alg: Algebra) -> tuple:
 # identity equations over flat indices, and the depth-first solver
 # ---------------------------------------------------------------------------
 
-# The defect of each identity kind on basis triples (x, y, z), written as in
-# its definition: juxtaposition is the product, one word per term.
-_IDENTITIES = {
-    "antiassociative": ("(xy)z + x(yz)",),
-    "left_pre_jj": ("(xy)z + x(yz) + (yx)z + y(xz)",),
-    "right_pre_jj": ("(xy)z + x(yz) + (xz)y + x(zy)",),
-    "operad": ("(xy)z + x(yz) + (yx)z + y(xz)",),
-    "jj": ("xy - yx", "(xy)z + (zx)y + (yz)x"),
-}
+class _Polynomials:
+    """Integer polynomials in the flat constants, as {monomial: coefficient}.
+
+    A monomial is a sorted tuple of variable indices.  This is the part of
+    the field interface the defect generators use, so running a generator
+    over an algebra whose constants are variables yields its equations.
+    """
+
+    zero = {}
+
+    @staticmethod
+    def add(a, b):
+        out = dict(a)
+        for mono, c in b.items():
+            out[mono] = out.get(mono, 0) + c
+        return out
+
+    @staticmethod
+    def sub(a, b):
+        return _Polynomials.add(a, {mono: -c for mono, c in b.items()})
+
+    @staticmethod
+    def mul(a, b):
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                mono = tuple(sorted(m1 + m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return out
 
 
 @lru_cache(maxsize=None)
 def _equations(n: int, p: int, kind: str) -> tuple:
     """The identity ``kind`` as integer equations over flat indices.
 
-    An equation is a tuple of terms (coefficient, u, w) meaning
+    The equations are the coordinates of the kind's defect generator run
+    over an algebra whose constants are the variables x_0 .. x_{n^3-1}.  An
+    equation is a tuple of terms (coefficient, u, w) meaning
     coefficient * x_u * x_w; index n^3 stands for the constant 1, so linear
     terms take the same form.  Coefficients are reduced mod p and equations
     that vanish identically are dropped.  Entry d of the result holds the
     equations whose highest variable is x_d.
     """
     one = n ** 3
-
-    def var(a, b, t):
-        return (a * n + b) * n + t
-
+    tensor = tuple(
+        tuple(tuple({((i * n + j) * n + k,): 1} for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    alg = Algebra(_Polynomials, default_labels(n), tensor)
     equations = set()
-    for triple in itertools.product(range(n), repeat=3):
-        for identity in _IDENTITIES[kind]:
-            polys = [{} for _ in range(n)]   # coordinate t -> {(u, w): coef}
-            for term in identity.replace("+ ", "").replace("- ", "-").split():
-                sign = -1 if term[0] == "-" else 1
-                word = term.lstrip("-")
-                idx = [triple["xyz".index(ch)] for ch in word if ch in "xyz"]
-                for t in range(n):
-                    if len(idx) == 2:      # ab: x_abt
-                        monos = [(var(*idx, t), one)]
-                    elif word[0] == "(":   # (ab)c: sum_m x_abm x_mct
-                        a, b, c = idx
-                        monos = [(var(a, b, m), var(m, c, t)) for m in range(n)]
-                    else:                  # a(bc): sum_m x_bcm x_amt
-                        a, b, c = idx
-                        monos = [(var(b, c, m), var(a, m, t)) for m in range(n)]
-                    for mono in map(tuple, map(sorted, monos)):
-                        polys[t][mono] = polys[t].get(mono, 0) + sign
-            for poly in polys:
-                eq = tuple((c % p, u, w) for (u, w), c in sorted(poly.items()) if c % p)
-                if eq:
-                    equations.add(eq)
+    for _, defect in _DEFECT_GENERATORS[kind](alg):
+        for poly in defect:
+            terms = sorted(((mono + (one,))[:2], c % p) for mono, c in poly.items())
+            eq = tuple((c, u, w) for (u, w), c in terms if c)
+            if eq:
+                equations.add(eq)
     by_highest = [[] for _ in range(one)]
     for eq in sorted(equations):
         by_highest[max(w if w != one else u for _, u, w in eq)].append(eq)
@@ -231,59 +239,33 @@ def enumerate_solutions(dim: int, field, kind: str, candidates=None,
 
 
 @lru_cache(maxsize=None)
+def _gl_group(p: int, n: int) -> dict:
+    """GL_n(F_p) in lex order, as {matrix: inverse} of flat row-major tuples."""
+    field = PrimeField(p)
+    group = {}
+    for flat in itertools.product(range(p), repeat=n * n):
+        rows = tuple(flat[r * n:(r + 1) * n] for r in range(n))
+        try:
+            inverse = LinearMap(field, rows).inverse()
+        except ShapeError:
+            continue
+        group[flat] = tuple(x for row in inverse.entries for x in row)
+    return group
+
+
 def gl_matrices(p: int, n: int) -> tuple:
     """All invertible n x n matrices over GF(p), as flat row-major tuples."""
-    out = []
-    for flat in itertools.product(range(p), repeat=n * n):
-        if _det_raw(flat, n, p) != 0:
-            out.append(flat)
-    return tuple(out)
+    return tuple(_gl_group(p, n))
 
 
-def _det_raw(flat, n, p):
-    m = [list(flat[r * n:(r + 1) * n]) for r in range(n)]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            if m[r][col] % p:
-                factor = m[r][col] * inv % p
-                for cc in range(col, n):
-                    m[r][cc] = (m[r][cc] - factor * m[col][cc]) % p
-    return det % p
+def transport_tuple(c: tuple, flat_p: tuple, n: int, p: int) -> tuple:
+    """Structure constants in the basis whose columns are given by ``flat_p``.
 
-
-def _inv_raw(flat, n, p):
-    m = [list(flat[r * n:(r + 1) * n]) for r in range(n)]
-    aug = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] % p)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(m[col][col], -1, p)
-        m[col] = [x * inv % p for x in m[col]]
-        aug[col] = [x * inv % p for x in aug[col]]
-        for r in range(n):
-            if r != col and m[r][col] % p:
-                factor = m[r][col]
-                m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[col])]
-                aug[r] = [(x - factor * y) % p for x, y in zip(aug[r], aug[col])]
-    return tuple(x for row in aug for x in row)
-
-
-def transport_tuple(c: tuple, flat_p: tuple, n: int, p: int,
-                    flat_p_inv: tuple | None = None) -> tuple:
-    """Structure constants in the basis whose columns are given by ``flat_p``."""
+    Raises ``ShapeError`` when ``flat_p`` is singular.
+    """
+    flat_p_inv = _gl_group(p, n).get(flat_p)
     if flat_p_inv is None:
-        flat_p_inv = _inv_raw(flat_p, n, p)
+        raise ShapeError("matrix is singular")
     cols = [[flat_p[r * n + i] for r in range(n)] for i in range(n)]
     out = []
     for i in range(n):
@@ -365,13 +347,12 @@ def classify(dim: int, field: PrimeField, kind: str,
     tuples = [s.entries for s in solutions]
     solution_set = set(tuples)
     gl = gl_matrices(p, dim)
-    inverses = {flat: _inv_raw(flat, dim, p) for flat in gl}
     assigned = set()
     orbits = []
     for c in tuples:
         if c in assigned:
             continue
-        orbit = {transport_tuple(c, flat, dim, p, inverses[flat]) for flat in gl}
+        orbit = {transport_tuple(c, flat, dim, p) for flat in gl}
         if not orbit <= solution_set:
             raise FieldError(
                 "orbit escaped the solution set; identity is not basis-invariant"

@@ -62,8 +62,9 @@ def _parse_field(text):
         return None
     if text == "rational":
         return QQ
-    if text.startswith("prime:"):
-        return PrimeField(int(text.split(":", 1)[1]))
+    kind, _, modulus = text.partition(":")
+    if kind == "prime" and modulus.strip().isdecimal():
+        return PrimeField(int(modulus))
     raise CliError(f"bad --field value {text!r}; use 'rational' or 'prime:P'")
 
 
@@ -79,8 +80,18 @@ def _load_json(path):
         ) from None
 
 
+def _parse(path, parse, obj, *args):
+    """``parse(obj, *args)``, with a malformed document reported against ``path``."""
+    try:
+        return parse(obj, *args)
+    except KeyError as exc:
+        raise CliError(f"{path}: missing field {exc}") from None
+    except MockLieError as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
 def _load_algebra(path, field=None):
-    alg = algebra_from_json(_load_json(path))
+    alg = _parse(path, algebra_from_json, _load_json(path))
     if field is not None:
         alg = coerce_algebra(alg, field)
     return alg
@@ -88,8 +99,11 @@ def _load_algebra(path, field=None):
 
 def _write(path, text):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"{path}: cannot write: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -130,7 +144,7 @@ def cmd_semidirect(args):
         raise CliError("--field is not supported for container files")
     obj = _load_json(args.file)
     if args.jj or "rho" in obj:
-        rep = rep_from_json(obj)
+        rep = _parse(args.file, rep_from_json, obj)
         try:
             result = jj_semidirect(rep)
         except PreconditionError as exc:
@@ -144,7 +158,7 @@ def cmd_semidirect(args):
             _write(args.out, dumps(doc))
             return 1
     else:
-        result = prejj_semidirect(bimodule_from_json(obj))
+        result = prejj_semidirect(_parse(args.file, bimodule_from_json, obj))
     _write(args.out, dumps(algebra_to_json(result)))
     return 0
 
@@ -170,7 +184,8 @@ def cmd_double(args):
                 for left, right, expected in catalog.case_table(args.conformance)
             ]
         else:
-            table = table_fixture_from_json(_load_json(args.conformance), primal.field)
+            table = _parse(args.conformance, table_fixture_from_json,
+                           _load_json(args.conformance), primal.field)
         conformance = conformance_diff(double, table)
     _write(args.out, dumps(double_to_json(double, invariance, conformance)))
     return 0 if invariance.passed else 1

@@ -7,7 +7,8 @@ the arithmetic, so hot loops pay no per-element wrapper cost.  All values in
 one computation share a single field descriptor; mixing fields is an error.
 
 String forms: rationals render as ``"a"`` or ``"a/b"``; prime-field elements
-render as ``"k mod p"`` (plain ``"k"`` is accepted on input).
+render as ``"k mod p"`` (plain ``"k"``, and ``"a/b"`` with b invertible mod p,
+are accepted on input).  Unparsable text raises ``FieldError``.
 """
 
 from __future__ import annotations
@@ -87,11 +88,7 @@ class RationalField:
         return 1 / a
 
     def parse(self, text: str) -> Fraction:
-        text = text.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return normalize(int(num), int(den))
-        return Fraction(int(text))
+        return normalize(*_parse_ratio(text, self))
 
     def render(self, a) -> str:
         if a.denominator == 1:
@@ -134,11 +131,7 @@ class PrimeField:
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise FieldError(
-                    f"denominator of {value} is not invertible mod {self.p}"
-                )
-            return value.numerator * pow(value.denominator, -1, self.p) % self.p
+            return self._ratio(value.numerator, value.denominator)
         if isinstance(value, str):
             return self.parse(value)
         raise FieldError(f"cannot coerce {value!r} into GF({self.p})")
@@ -162,15 +155,18 @@ class PrimeField:
 
     def parse(self, text: str) -> int:
         text = text.strip()
-        if "mod" in text:
-            value, _, modulus = text.partition("mod")
-            if int(modulus) != self.p:
-                raise MixedFieldError(
-                    f"scalar {text!r} declares modulus {modulus.strip()}, "
-                    f"field is GF({self.p})"
-                )
-            return int(value) % self.p
-        return int(text) % self.p
+        value, mod, modulus = text.partition("mod")
+        if mod and _parse_ratio(modulus, self) != (self.p, 1):
+            raise MixedFieldError(
+                f"scalar {text!r} declares modulus {modulus.strip()}, "
+                f"field is GF({self.p})"
+            )
+        return self._ratio(*_parse_ratio(value, self))
+
+    def _ratio(self, num: int, den: int) -> int:
+        if den % self.p == 0:
+            raise FieldError(f"denominator of {num}/{den} is not invertible mod {self.p}")
+        return num * pow(den, -1, self.p) % self.p
 
     def render(self, a) -> str:
         return f"{a % self.p} mod {self.p}"
@@ -195,6 +191,19 @@ def normalize(raw_numerator: int, raw_denominator: int) -> Fraction:
     A zero denominator raises ``ZeroDivisionError``.
     """
     return Fraction(raw_numerator, raw_denominator)
+
+
+def _parse_ratio(text: str, field: Field) -> tuple[int, int]:
+    """``"a"`` or ``"a/b"`` as the integer pair (a, b), b nonzero."""
+    text = text.strip()
+    num, slash, den = text.partition("/")
+    try:
+        ratio = int(num), int(den) if slash else 1
+    except ValueError:
+        ratio = 0, 0
+    if ratio[1] == 0:
+        raise FieldError(f"cannot parse {text!r} as a scalar of {field!r}")
+    return ratio
 
 
 def field_inverse(field: Field, value):

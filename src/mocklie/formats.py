@@ -101,7 +101,7 @@ def algebra_from_json(obj) -> Algebra:
             raise FormatError(f"product ({i}, {j}) needs {dim} coefficients")
         if (i, j) in products:
             raise FormatError(f"duplicate product entry ({i}, {j})")
-        products[(i, j)] = [field.parse(str(x)) for x in coeffs]
+        products[(i, j)] = [str(x) for x in coeffs]
     try:
         return Algebra.from_products(field, dim, products, labels=labels)
     except MockLieError as exc:

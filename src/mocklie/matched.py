@@ -22,9 +22,9 @@ from .algebra import (
     CheckReport,
     DEFAULT_MAX_WITNESSES,
     _basis_times_vec,
+    _block_product,
     _vec_times_basis,
     check_identity,
-    default_labels,
     report_from_defects,
     sub_adjacent,
 )
@@ -164,29 +164,7 @@ def jj_bicross_product(mp: JJMatchedPair) -> Algebra:
     (x+a)(y+b) = xy + mu(a)y + mu(b)x  +  ab + rho(x)b + rho(y)a.
     Not gated: the result satisfies ``jj`` exactly when the checker passes.
     """
-    G, H = mp.G, mp.H
-    f = G.field
-    ng, nh = G.dim, H.dim
-    dim = ng + nh
-    labels = G.labels + H.labels
-    if len(set(labels)) != dim:
-        labels = default_labels(dim)
-    table = []
-    for u in range(dim):
-        row = []
-        for v in range(dim):
-            if u < ng and v < ng:
-                row.append(G.c[u][v] + vec_zero(f, nh))
-            elif u < ng:
-                b = v - ng
-                row.append(tuple(mp.mu[b].column(u)) + tuple(mp.rho[u].column(b)))
-            elif v < ng:
-                a = u - ng
-                row.append(tuple(mp.mu[a].column(v)) + tuple(mp.rho[v].column(a)))
-            else:
-                row.append(vec_zero(f, ng) + H.c[u - ng][v - ng])
-        table.append(tuple(row))
-    return Algebra(f, labels, tuple(table))
+    return _block_product(mp.G, mp.H, mp.rho, mp.rho, mp.mu, mp.mu)
 
 
 def _prejj_pair_defects(mp: PreJJMatchedPair):
@@ -276,29 +254,7 @@ def prejj_bicross_product(mp: PreJJMatchedPair) -> Algebra:
     (x+a)(y+b) = xy + lB(a)y + rB(b)x  +  ab + lA(x)b + rA(y)a.
     Not gated: the result is left pre-JJ exactly when the checker passes.
     """
-    A, B = mp.A, mp.B
-    f = A.field
-    na, nb = A.dim, B.dim
-    dim = na + nb
-    labels = A.labels + B.labels
-    if len(set(labels)) != dim:
-        labels = default_labels(dim)
-    table = []
-    for u in range(dim):
-        row = []
-        for v in range(dim):
-            if u < na and v < na:
-                row.append(A.c[u][v] + vec_zero(f, nb))
-            elif u < na:
-                b = v - na
-                row.append(tuple(mp.rb[b].column(u)) + tuple(mp.la[u].column(b)))
-            elif v < na:
-                a = u - na
-                row.append(tuple(mp.lb[a].column(v)) + tuple(mp.ra[v].column(a)))
-            else:
-                row.append(vec_zero(f, na) + B.c[u - na][v - na])
-        table.append(tuple(row))
-    return Algebra(f, labels, tuple(table))
+    return _block_product(mp.A, mp.B, mp.la, mp.ra, mp.lb, mp.rb)
 
 
 def subadjacent_matched_pair(mp: PreJJMatchedPair) -> JJMatchedPair:

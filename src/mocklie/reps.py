@@ -34,6 +34,7 @@ from .algebra import (
     CheckReport,
     DEFAULT_MAX_WITNESSES,
     _DEFECT_GENERATORS,
+    _block_product,
     default_labels,
     left_mult,
     report_from_defects,
@@ -42,7 +43,7 @@ from .algebra import (
 )
 from .errors import PreconditionError, ShapeError
 from .fields import require_same_field
-from .linalg import LinearMap, Vector, vec_zero
+from .linalg import LinearMap, Vector
 
 
 def _validate_map_family(alg: Algebra, maps, what: str) -> int:
@@ -222,27 +223,10 @@ def jj_semidirect(rep: JJRep) -> Algebra:
 
 
 def _semidirect_table(alg, left_maps, right_maps, m) -> Algebra:
-    # products: e_i e_j from alg; e_i v = left_i(v); v e_j = right_j(v); v w = 0
-    f = alg.field
-    n = alg.dim
-    dim = n + m
-    labels = alg.labels + default_labels(m, "v")
-    if len(set(labels)) != dim:
-        labels = default_labels(dim)
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i < n and j < n:
-                row.append(alg.c[i][j] + vec_zero(f, m))
-            elif i < n:
-                row.append(vec_zero(f, n) + left_maps[i].column(j - n))
-            elif j < n:
-                row.append(vec_zero(f, n) + right_maps[j].column(i - n))
-            else:
-                row.append(vec_zero(f, dim))
-        table.append(tuple(row))
-    return Algebra(f, labels, tuple(table))
+    # the block product with the zero algebra on V, which does not act on A
+    zero = tuple(LinearMap.zeros(alg.field, alg.dim, alg.dim) for _ in range(m))
+    module = Algebra.zero(alg.field, m, default_labels(m, "v"))
+    return _block_product(alg, module, left_maps, right_maps, zero, zero)
 
 
 def _bimodule_condition_defects(bm: PreJJBimodule):

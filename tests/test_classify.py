@@ -8,6 +8,7 @@ from mocklie.algebra import IDENTITY_KINDS, check_identity, passes_identity
 from mocklie.catalog import class_algebras
 from mocklie.classify import (
     ConstantTuple,
+    _equations,
     algebra_from_tuple,
     classify,
     enumerate_solutions,
@@ -321,3 +322,72 @@ def test_orbit_representative_is_lex_smallest():
         }
         assert orbit.representative == min(members)
         assert orbit.size == len(members)
+
+
+def test_transport_rejects_singular_matrix():
+    with pytest.raises(ShapeError, match="singular"):
+        transport_tuple(SQUARE_TUPLE, (1, 2, 2, 4), 2, 5)
+
+
+# An oracle for the solver's equations that shares no code with the defect
+# generators: each identity kind written as its defect on basis triples
+# (x, y, z), juxtaposition being the product, one word per term.
+IDENTITY_STRINGS = {
+    "antiassociative": ("(xy)z + x(yz)",),
+    "left_pre_jj": ("(xy)z + x(yz) + (yx)z + y(xz)",),
+    "right_pre_jj": ("(xy)z + x(yz) + (xz)y + x(zy)",),
+    "operad": ("(xy)z + x(yz) + (yx)z + y(xz)",),
+    "jj": ("xy - yx", "(xy)z + (zx)y + (yz)x"),
+}
+
+
+def _monic(eq, p):
+    inv = pow(eq[0][0], -1, p)
+    return tuple((c * inv % p, u, w) for c, u, w in eq)
+
+
+def expand_identity(n, p, kind):
+    """Equations of ``IDENTITY_STRINGS[kind]`` over the flat constants.
+
+    Terms are (coefficient, u, w) for coefficient * x_u * x_w, with index
+    n^3 standing for the constant 1.  Returns one set per flat index d of
+    the equations whose highest variable is x_d, each scaled to leading
+    coefficient 1 mod p.
+    """
+    one = n ** 3
+
+    def var(a, b, t):
+        return (a * n + b) * n + t
+
+    by_highest = [set() for _ in range(one)]
+    for triple in itertools.product(range(n), repeat=3):
+        for identity in IDENTITY_STRINGS[kind]:
+            polys = [{} for _ in range(n)]   # coordinate t -> {(u, w): coef}
+            for term in identity.replace("+ ", "").replace("- ", "-").split():
+                sign = -1 if term[0] == "-" else 1
+                word = term.lstrip("-")
+                idx = [triple["xyz".index(ch)] for ch in word if ch in "xyz"]
+                for t in range(n):
+                    if len(idx) == 2:      # ab: x_abt
+                        monos = [(var(*idx, t), one)]
+                    elif word[0] == "(":   # (ab)c: sum_m x_abm x_mct
+                        a, b, c = idx
+                        monos = [(var(a, b, m), var(m, c, t)) for m in range(n)]
+                    else:                  # a(bc): sum_m x_bcm x_amt
+                        a, b, c = idx
+                        monos = [(var(b, c, m), var(a, m, t)) for m in range(n)]
+                    for mono in map(tuple, map(sorted, monos)):
+                        polys[t][mono] = polys[t].get(mono, 0) + sign
+            for poly in polys:
+                eq = tuple((c % p, u, w) for (u, w), c in sorted(poly.items()) if c % p)
+                if eq:
+                    by_highest[max(w if w != one else u for _, u, w in eq)].add(
+                        _monic(eq, p))
+    return by_highest
+
+
+@pytest.mark.parametrize("n, p", [(1, 5), (2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
+def test_equations_match_expanded_identity_strings(n, p):
+    for kind in IDENTITY_KINDS:
+        compiled = [{_monic(eq, p) for eq in eqs} for eqs in _equations(n, p, kind)]
+        assert compiled == expand_identity(n, p, kind), kind

@@ -264,3 +264,55 @@ def test_max_witnesses_flag(tmp_path):
                  "--max-witnesses", "1", "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert len(doc["witnesses"]) == 1 and doc["truncated"] is True
+
+
+def assert_one_error_line(capsys, *names):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    for name in names:
+        assert name in err[0]
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0"])
+def test_check_malformed_scalar_exit_code(tmp_path, capsys, text):
+    doc = algebra_to_json(class_algebra("e1e1=e2"))
+    doc["products"][0]["coeffs"] = ["0", text]
+    path = tmp_path / "bad.json"
+    path.write_text(dumps(doc))
+    assert main(["check", str(path), "--identity", "jj"]) == 2
+    assert_one_error_line(capsys, str(path), repr(text), "QQ")
+
+
+def test_check_bad_prime_field_flag(tmp_path, capsys):
+    path = write_algebra(tmp_path / "z.json", Algebra.zero(QQ, 2))
+    assert main(["check", path, "--identity", "jj", "--field", "prime:abc"]) == 2
+    assert_one_error_line(capsys, "--field", "prime:abc")
+
+
+@pytest.mark.parametrize("key", ["l", "r"])
+def test_semidirect_container_missing_maps(tmp_path, capsys, key):
+    doc = bimodule_to_json(PreJJBimodule.regular(class_algebra("e1e1=e2")))
+    del doc[key]
+    path = tmp_path / "bm.json"
+    path.write_text(dumps(doc))
+    assert main(["semidirect", str(path)]) == 2
+    assert_one_error_line(capsys, str(path), repr(key))
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    path = write_algebra(tmp_path / "z.json", Algebra.zero(QQ, 2))
+    out = tmp_path / "missing-dir" / "out.json"
+    assert main(["check", path, "--identity", "jj", "--out", str(out)]) == 2
+    assert_one_error_line(capsys, str(out))
+
+
+def test_check_accepts_invertible_fraction_over_prime_field(tmp_path):
+    doc = algebra_to_json(class_algebra("e1e1=e2", GF5))
+    doc["products"][0]["coeffs"] = ["0", "1/2"]
+    path = tmp_path / "half.json"
+    path.write_text(dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--identity", "jj", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+    assert main(["table", str(path), "--out", str(out)]) == 0
+    assert "e1*e1 = 3*e2" in out.read_text()

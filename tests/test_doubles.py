@@ -308,3 +308,19 @@ def test_dual_lift_sign_is_immaterial_in_dimension_two(f5_prejj_algebras):
             lambda: check_jj_matched_pair(jj_matched_pair_from_duals(a, b, sign=1))
         )
         assert minus == plus
+
+
+@pytest.mark.parametrize("field", [QQ, GF5])
+def test_case_three_double_fails_left_pre_jj_at_hand_derived_witness(field):
+    # In the case III double the only nonzero products are e2e2 = e1,
+    # e2e1* = e2*, e2e2* = e1, e1*e2 = e2 + e2* and e2*e1* = e2*.  Row and
+    # column e1 vanish, so every triple with e1 passes, and (e2, e2, e1) and
+    # (e2, e2, e2) give 2(e1e1 + 0) and 2(e1e2 + e2e1), both zero.  At
+    # (e2, e2, e1*) the defect is 2((e2e2)e1* + e2(e2e1*)) = 2(e1e1* + e2e2*)
+    # = 2(0 + e1) = 2e1.
+    report = check_identity(
+        assemble_prejj_double(*case_inputs("III", field)).ambient, "left_pre_jj")
+    assert report.witnesses[0].indices == (1, 1, 2)
+    assert report.witnesses[0].defect == vec(field, 2, 0, 0, 0)
+    assert check_identity(
+        assemble_prejj_double(*case_inputs("I", field)).ambient, "left_pre_jj").passed

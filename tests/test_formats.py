@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import mocklie
+from mocklie import catalog
 
 from conftest import GF5, rand_matrix, random_valid_bimodule, seeded
 from mocklie.algebra import Algebra, check_identity
@@ -192,3 +197,39 @@ def test_coerce_rejects_bad_denominator():
 
     with pytest.raises(FieldError):
         coerce_algebra(alg, GF5)
+
+
+def test_catalog_data_files_match_catalog():
+    data = Path(mocklie.__file__).parent / "data"
+    expected = {
+        f"class_{name.replace('=', '_')}.json": algebra_to_json(catalog.class_algebra(name))
+        for name in catalog.CLASS_NAMES
+    }
+    for case in catalog.CASE_NAMES:
+        base, dual = catalog.case_inputs(case)
+        expected[f"case_{case}_A.json"] = algebra_to_json(base)
+        expected[f"case_{case}_dual.json"] = algebra_to_json(dual)
+        expected[f"case_{case}_table.json"] = table_fixture_to_json(
+            case, QQ, catalog.case_table(case))
+    assert sorted(path.name for path in data.glob("*.json")) == sorted(expected)
+    assert len(expected) == 13
+    for name, doc in expected.items():
+        assert (data / name).read_bytes() == dumps(doc).encode(), name
+
+
+SCALAR_TEXT = st.one_of(
+    st.text(),
+    st.from_regex(r" ?-?[0-9]{1,3}(/-?[0-9]{1,2})?( mod -?[0-9]{1,2})? ?", fullmatch=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=SCALAR_TEXT, field=st.sampled_from([QQ, GF5]))
+def test_algebra_from_json_rejects_scalars_only_with_format_error(text, field):
+    doc = {"dim": 2, "field": field_to_json(field),
+           "products": [{"i": 0, "j": 1, "coeffs": ["0", text]}]}
+    try:
+        alg = algebra_from_json(doc)
+    except FormatError:
+        return
+    assert alg.c[0][1] == (field.zero, field.parse(text))
