@@ -11,10 +11,11 @@ them depth-first, fixing the constants one by one in lexicographic order
 and checking each equation as soon as its highest constant is fixed, so
 whole subtrees of the p^(n^3) tuples are cut at once.
 
-Orbits are computed by closing each unassigned solution under the full
-GL_n(F_p) basis-change action, using the group and its inverses, which are
-computed once per (p, n); at desk scale (p <= 7, n <= 2) this is exact
-and cheap.  Everything is deterministic: solutions are produced in
+Orbits are computed without listing GL_n(F_p): each unassigned solution is
+expanded under a generating set of the group (the transvections I + E_ij
+and, for p > 2, diag(w, 1, ..., 1) with w the smallest primitive root mod
+p).  The group is finite, so the closure under the generators is the whole
+orbit.  Everything is deterministic: solutions are produced in
 lexicographic order, orbit representatives are the lexicographically
 smallest members, censuses compare byte-identical across runs and worker
 counts.
@@ -23,6 +24,7 @@ counts.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -157,10 +159,44 @@ def _holds(equations, vals, p) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
+def _split_equations(n: int, p: int, kind: str) -> tuple:
+    """``_equations`` with each equation written as a polynomial in x_d.
+
+    Entry d holds, for each equation filed under x_d, a triple
+    (a, linear, free) standing for a * x_d^2 + b * x_d + k, where
+    b = sum of c * x_u over the pairs (c, u) in ``linear`` (u = n^3 being the
+    constant 1) and k = sum of c * x_u * x_w over the terms in ``free``; b and
+    k involve only x_0 .. x_{d-1}.
+    """
+    split = []
+    for d, eqs in enumerate(_equations(n, p, kind)):
+        parts = []
+        for eq in eqs:
+            a, linear, free = 0, [], []
+            for c, u, w in eq:
+                if u == w == d:
+                    a = c
+                elif w == d:
+                    linear.append((c, u))
+                elif u == d:
+                    linear.append((c, w))
+                else:
+                    free.append((c, u, w))
+            parts.append((a, tuple(linear), tuple(free)))
+        split.append(tuple(parts))
+    return tuple(split)
+
+
 def _solve_subtree(p: int, n: int, kind: str, first: int) -> tuple[list, int]:
     """Solutions starting with ``first``, in lex order, and the number of
-    (variable, value) assignments tried."""
-    by_highest = _equations(n, p, kind)
+    (variable, value) assignments tried.
+
+    On entering depth d each equation filed under x_d is evaluated once on
+    the fixed prefix, leaving a * v^2 + b * v + k to test per candidate
+    value v; the candidates that pass one equation go on to the next.
+    """
+    split = _split_equations(n, p, kind)
     last = n ** 3 - 1
     vals = [0] * (last + 1) + [1]
     out = []
@@ -168,11 +204,15 @@ def _solve_subtree(p: int, n: int, kind: str, first: int) -> tuple[list, int]:
 
     def descend(d, values):
         nonlocal visited
+        visited += len(values)
+        for a, linear, free in split[d]:
+            b = sum([c * vals[u] for c, u in linear]) % p
+            k = sum([c * vals[u] * vals[w] for c, u, w in free]) % p
+            values = [v for v in values if (a * v * v + b * v + k) % p == 0]
+            if not values:
+                return
         for v in values:
-            visited += 1
             vals[d] = v
-            if not _holds(by_highest[d], vals, p):
-                continue
             if d < last:
                 descend(d + 1, range(p))
             else:
@@ -239,23 +279,57 @@ def enumerate_solutions(dim: int, field, kind: str, candidates=None,
 
 
 @lru_cache(maxsize=None)
-def _gl_group(p: int, n: int) -> dict:
-    """GL_n(F_p) in lex order, as {matrix: inverse} of flat row-major tuples."""
-    field = PrimeField(p)
-    group = {}
-    for flat in itertools.product(range(p), repeat=n * n):
-        rows = tuple(flat[r * n:(r + 1) * n] for r in range(n))
-        try:
-            inverse = LinearMap(field, rows).inverse()
-        except ShapeError:
-            continue
-        group[flat] = tuple(x for row in inverse.entries for x in row)
-    return group
+def _inverse(flat_p: tuple, n: int, p: int) -> tuple:
+    """Inverse of an n x n matrix over GF(p), both flat row-major tuples.
+
+    Raises ``ShapeError`` when ``flat_p`` is singular.
+    """
+    rows = tuple(flat_p[r * n:(r + 1) * n] for r in range(n))
+    inverse = LinearMap(PrimeField(p), rows).inverse()
+    return tuple(x for row in inverse.entries for x in row)
 
 
+@lru_cache(maxsize=None)
 def gl_matrices(p: int, n: int) -> tuple:
     """All invertible n x n matrices over GF(p), as flat row-major tuples."""
-    return tuple(_gl_group(p, n))
+    group = []
+    for flat in itertools.product(range(p), repeat=n * n):
+        try:
+            _inverse(flat, n, p)
+        except ShapeError:
+            continue
+        group.append(flat)
+    return tuple(group)
+
+
+def gl_order(p: int, n: int) -> int:
+    """|GL_n(F_p)| = (p^n - 1)(p^n - p) ... (p^n - p^(n-1))."""
+    return math.prod(p ** n - p ** i for i in range(n))
+
+
+def _primitive_root(p: int) -> int:
+    """The smallest generator of the multiplicative group of GF(p)."""
+    return next(w for w in range(1, p)
+                if len({pow(w, k, p) for k in range(1, p)}) == p - 1)
+
+
+@lru_cache(maxsize=None)
+def _gl_generators(p: int, n: int) -> tuple:
+    """Generators of GL_n(F_p), as flat row-major tuples.
+
+    The transvections I + E_ij (i != j) generate SL_n(F_p); with
+    diag(w, 1, ..., 1), w a primitive root, they generate GL_n(F_p).  The
+    diagonal one is the identity at p = 2 and is left out.
+    """
+    def matrix(index, x):
+        flat = [int(r == c) for r in range(n) for c in range(n)]
+        flat[index] = x
+        return tuple(flat)
+
+    gens = [matrix(i * n + j, 1) for i in range(n) for j in range(n) if i != j]
+    if p > 2:
+        gens.append(matrix(0, _primitive_root(p)))
+    return tuple(gens)
 
 
 def transport_tuple(c: tuple, flat_p: tuple, n: int, p: int) -> tuple:
@@ -263,9 +337,7 @@ def transport_tuple(c: tuple, flat_p: tuple, n: int, p: int) -> tuple:
 
     Raises ``ShapeError`` when ``flat_p`` is singular.
     """
-    flat_p_inv = _gl_group(p, n).get(flat_p)
-    if flat_p_inv is None:
-        raise ShapeError("matrix is singular")
+    flat_p_inv = _inverse(flat_p, n, p)
     cols = [[flat_p[r * n + i] for r in range(n)] for i in range(n)]
     out = []
     for i in range(n):
@@ -295,9 +367,10 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
     """Search for an invertible P with apply_basis_change(a, P) == b.
 
     Over a prime field the scan covers all of GL_n; over the rationals it
-    covers integer matrices with entries in [-bound, bound].  Returns the
-    first matrix found in scan order, or None when the search space is
-    exhausted.
+    covers integer matrices with entries in [-bound, bound].  Either way
+    ``FieldError`` is raised before scanning more than ``max_scan``
+    matrices.  Returns the first matrix found in scan order, or None when
+    the search space is exhausted.
     """
     if a.field != b.field:
         raise FieldError("isomorphism search needs a common field")
@@ -318,6 +391,11 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
                 return LinearMap(f, rows)
         return None
     entries = range(-bound, bound + 1)
+    if len(entries) ** (n * n) > max_scan:
+        raise FieldError(
+            f"integer-matrix scan over {len(entries) ** (n * n)} matrices "
+            f"exceeds {max_scan}"
+        )
     for flat in itertools.product(entries, repeat=n * n):
         rows = tuple(tuple(f.of(x) for x in flat[r * n:(r + 1) * n]) for r in range(n))
         mat = LinearMap(f, rows)
@@ -332,8 +410,11 @@ def classify(dim: int, field: PrimeField, kind: str,
              max_scan: int = DEFAULT_MAX_SCAN, workers: int = 1) -> OrbitCensus:
     """Census of all solutions of ``kind`` in dimension 1 or 2 over GF(p).
 
-    Solutions are grouped into GL-orbits by full closure; each orbit is named
-    by its lexicographically smallest member.  Output is deterministic for
+    Solutions are grouped into GL-orbits by expanding each unassigned
+    solution under ``_gl_generators``; every image must itself be a solution,
+    or the identity is not basis-invariant and ``FieldError`` is raised.
+    Each orbit is named by its lexicographically smallest member, and orbits
+    come in the order of their first solution.  Output is deterministic for
     any worker count.
     """
     if dim not in (1, 2):
@@ -346,17 +427,26 @@ def classify(dim: int, field: PrimeField, kind: str,
                                     workers=workers, stats=stats)
     tuples = [s.entries for s in solutions]
     solution_set = set(tuples)
-    gl = gl_matrices(p, dim)
+    gens = _gl_generators(p, dim)
     assigned = set()
     orbits = []
     for c in tuples:
         if c in assigned:
             continue
-        orbit = {transport_tuple(c, flat, dim, p) for flat in gl}
-        if not orbit <= solution_set:
-            raise FieldError(
-                "orbit escaped the solution set; identity is not basis-invariant"
-            )
+        orbit = {c}
+        frontier = [c]
+        while frontier:
+            member = frontier.pop()
+            for g in gens:
+                image = transport_tuple(member, g, dim, p)
+                if image not in solution_set:
+                    raise FieldError(
+                        "orbit escaped the solution set; identity is not "
+                        "basis-invariant"
+                    )
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
         assigned |= orbit
         orbits.append(Orbit(representative=min(orbit), size=len(orbit)))
     return OrbitCensus(
@@ -368,7 +458,7 @@ def classify(dim: int, field: PrimeField, kind: str,
         warnings=characteristic_warnings(field),
         metadata={
             "scanned": p ** (dim ** 3),
-            "gl_order": len(gl),
+            "gl_order": gl_order(p, dim),
             "workers": workers,
             "visited": stats["visited"],
         },

@@ -74,6 +74,10 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise CliError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -143,7 +147,7 @@ def cmd_semidirect(args):
     if field is not None:
         raise CliError("--field is not supported for container files")
     obj = _load_json(args.file)
-    if args.jj or "rho" in obj:
+    if args.jj or isinstance(obj, dict) and "rho" in obj:
         rep = _parse(args.file, rep_from_json, obj)
         try:
             result = jj_semidirect(rep)

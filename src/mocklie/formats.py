@@ -113,6 +113,8 @@ def matrix_to_json(m: LinearMap) -> list:
 
 
 def matrix_from_json(field: Field, rows, size: int | None = None) -> LinearMap:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError("a matrix must be a list of rows")
     mat = LinearMap.from_rows(field, [[field.parse(str(x)) for x in row] for row in rows])
     if size is not None and (mat.rows, mat.cols) != (size, size):
         raise FormatError(f"expected a {size}x{size} matrix")
@@ -128,11 +130,35 @@ def bimodule_to_json(bm: PreJJBimodule) -> dict:
     }
 
 
-def bimodule_from_json(obj) -> PreJJBimodule:
+def _module_container(obj, keys):
+    """The algebra, module dimension and map lists of a module container.
+
+    The module dimension is ``module_dim`` or else the size of the first map
+    under ``keys[0]``.
+    """
+    if not isinstance(obj, dict):
+        raise FormatError("module container must be a JSON object")
     alg = algebra_from_json(obj["algebra"])
-    m = int(obj.get("module_dim") or len(obj["l"][0]))
-    left = tuple(matrix_from_json(alg.field, rows, m) for rows in obj["l"])
-    right = tuple(matrix_from_json(alg.field, rows, m) for rows in obj["r"])
+    lists = [obj[key] for key in keys]
+    for key, maps in zip(keys, lists):
+        if not isinstance(maps, list):
+            raise FormatError(f"{key!r} must be a list of matrices")
+    if obj.get("module_dim"):
+        try:
+            m = int(obj["module_dim"])
+        except (TypeError, ValueError):
+            raise FormatError(f"bad module_dim {obj['module_dim']!r}") from None
+    elif lists[0] and isinstance(lists[0][0], list):
+        m = len(lists[0][0])
+    else:
+        raise FormatError(f"container needs 'module_dim' or a nonempty {keys[0]!r}")
+    return alg, m, lists
+
+
+def bimodule_from_json(obj) -> PreJJBimodule:
+    alg, m, (ls, rs) = _module_container(obj, ("l", "r"))
+    left = tuple(matrix_from_json(alg.field, rows, m) for rows in ls)
+    right = tuple(matrix_from_json(alg.field, rows, m) for rows in rs)
     try:
         return PreJJBimodule(alg, left, right)
     except MockLieError as exc:
@@ -148,9 +174,8 @@ def rep_to_json(rep: JJRep) -> dict:
 
 
 def rep_from_json(obj) -> JJRep:
-    alg = algebra_from_json(obj["algebra"])
-    m = int(obj.get("module_dim") or len(obj["rho"][0]))
-    maps = tuple(matrix_from_json(alg.field, rows, m) for rows in obj["rho"])
+    alg, m, (rho,) = _module_container(obj, ("rho",))
+    maps = tuple(matrix_from_json(alg.field, rows, m) for rows in rho)
     try:
         return JJRep(alg, maps)
     except MockLieError as exc:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import os
 
@@ -9,11 +10,14 @@ from mocklie.catalog import class_algebras
 from mocklie.classify import (
     ConstantTuple,
     _equations,
+    _gl_generators,
+    _split_equations,
     algebra_from_tuple,
     classify,
     enumerate_solutions,
     find_isomorphism,
     gl_matrices,
+    gl_order,
     pool_size,
     transport_tuple,
     tuple_from_algebra,
@@ -391,3 +395,93 @@ def test_equations_match_expanded_identity_strings(n, p):
     for kind in IDENTITY_KINDS:
         compiled = [{_monic(eq, p) for eq in eqs} for eqs in _equations(n, p, kind)]
         assert compiled == expand_identity(n, p, kind), kind
+
+
+# ---------------------------------------------------------------------------
+# orbits from generators
+# ---------------------------------------------------------------------------
+
+def matmul(a, b, n, p):
+    return tuple(
+        sum(a[r * n + t] * b[t * n + c] for t in range(n)) % p
+        for r in range(n) for c in range(n)
+    )
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (1, 3), (1, 5), (1, 7),
+                                  (2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
+def test_generators_close_to_the_whole_group(n, p):
+    identity = tuple(int(r == c) for r in range(n) for c in range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        m = frontier.pop()
+        for g in _gl_generators(p, n):
+            image = matmul(m, g, n, p)
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    assert group == set(gl_matrices(p, n))
+    assert gl_order(p, n) == len(gl_matrices(p, n))
+
+
+def full_closure_orbits(solutions, n, p):
+    """Orbits by closing each unassigned solution over all of GL_n(F_p)."""
+    assigned, orbits = set(), []
+    for c in solutions:
+        if c in assigned:
+            continue
+        orbit = {transport_tuple(c, flat, n, p) for flat in gl_matrices(p, n)}
+        assigned |= orbit
+        orbits.append((min(orbit), len(orbit)))
+    return orbits
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_orbits_match_full_closure(p):
+    field = prime_field(p)
+    for kind in IDENTITY_KINDS:
+        census = classify(2, field, kind)
+        solutions = [s.entries for s in enumerate_solutions(2, field, kind)]
+        assert [(o.representative, o.size) for o in census.orbits] == \
+            full_closure_orbits(solutions, 2, p), kind
+        assert census.metadata["gl_order"] == len(gl_matrices(p, 2))
+
+
+def test_orbit_escape_is_detected(monkeypatch):
+    # e1e1=e2 lies in the size-24 orbit of e2e2=e1 over GF(5)
+    solutions = enumerate_solutions(2, GF5, "antiassociative")
+    kept = [s for s in solutions if s.entries != SQUARE_TUPLE]
+    assert len(kept) == len(solutions) - 1
+    # the package re-exports the function ``classify`` under the module's name
+    module = importlib.import_module("mocklie.classify")
+    monkeypatch.setattr(module, "enumerate_solutions",
+                        lambda *args, **kwargs: kept)
+    with pytest.raises(FieldError, match="escaped"):
+        classify(2, GF5, "antiassociative")
+
+
+@pytest.mark.parametrize("n, p", [(1, 5), (2, 3), (2, 5), (3, 2)])
+def test_split_equations_evaluate_like_the_equations(n, p):
+    rng = seeded(7)
+    one = n ** 3
+    for kind in IDENTITY_KINDS:
+        for d, (eqs, parts) in enumerate(zip(_equations(n, p, kind),
+                                             _split_equations(n, p, kind))):
+            assert len(eqs) == len(parts)
+            for _ in range(5):
+                vals = [rng.randrange(p) for _ in range(one)] + [1]
+                v = vals[d]
+                for eq, (a, linear, free) in zip(eqs, parts):
+                    b = sum(c * vals[u] for c, u in linear)
+                    k = sum(c * vals[u] * vals[w] for c, u, w in free)
+                    assert all(u < d or u == one for _, u in linear)
+                    assert all(w < d or w == one for _, _, w in free)
+                    full = sum(c * vals[u] * vals[w] for c, u, w in eq)
+                    assert (a * v * v + b * v + k - full) % p == 0
+
+
+def test_rational_isomorphism_scan_is_guarded(classes_qq):
+    a, b = classes_qq["e1e1=e2"], classes_qq["e2e2=e1"]
+    with pytest.raises(FieldError, match="exceeds"):
+        find_isomorphism(a, b, bound=50)
+    assert find_isomorphism(a, b, bound=2) is not None

@@ -299,6 +299,50 @@ def test_semidirect_container_missing_maps(tmp_path, capsys, key):
     assert_one_error_line(capsys, str(path), repr(key))
 
 
+def test_check_non_utf8_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["check", str(path), "--identity", "jj"]) == 2
+    assert_one_error_line(capsys, str(path), "UTF-8")
+
+
+def test_check_directory_exit_code(tmp_path, capsys):
+    assert main(["check", str(tmp_path), "--identity", "jj"]) == 2
+    assert_one_error_line(capsys, str(tmp_path))
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5"])
+@pytest.mark.parametrize("flags", [[], ["--jj"]])
+def test_semidirect_container_not_an_object(tmp_path, capsys, flags, text):
+    path = tmp_path / "container.json"
+    path.write_text(text + "\n")
+    assert main(["semidirect", str(path), *flags]) == 2
+    assert_one_error_line(capsys, str(path), "JSON object")
+
+
+@pytest.mark.parametrize("jj", [False, True])
+def test_semidirect_container_without_module_dim(tmp_path, capsys, jj):
+    if jj:
+        doc = rep_to_json(JJRep.adjoint(sub_adjacent(class_algebra("e2e2=e1"))))
+        doc["rho"] = []
+    else:
+        doc = bimodule_to_json(PreJJBimodule.regular(class_algebra("e1e1=e2")))
+        doc["l"], doc["r"] = [], []
+    del doc["module_dim"]
+    path = tmp_path / "nodim.json"
+    path.write_text(dumps(doc))
+    assert main(["semidirect", str(path)]) == 2
+    assert_one_error_line(capsys, str(path), "module_dim")
+
+
+def test_iso_rational_bound_guard(tmp_path, capsys):
+    a = write_algebra(tmp_path / "a.json", class_algebra("e1e1=e2"))
+    b = write_algebra(tmp_path / "b.json", class_algebra("e2e2=e1"))
+    assert main(["iso", a, b, "--bound", "50"]) == 2
+    assert_one_error_line(capsys, "exceeds")
+    assert main(["iso", a, b, "--out", str(tmp_path / "iso.json")]) == 0
+
+
 def test_unwritable_out_exit_code(tmp_path, capsys):
     path = write_algebra(tmp_path / "z.json", Algebra.zero(QQ, 2))
     out = tmp_path / "missing-dir" / "out.json"

@@ -135,6 +135,39 @@ def test_rep_round_trip(classes_qq):
     assert back.maps == rep.maps
 
 
+def module_containers(classes_qq):
+    alg = classes_qq["e1e1=e2"]
+    bimodule = bimodule_to_json(PreJJBimodule.regular(alg))
+    rep = rep_to_json(JJRep.adjoint(sub_adjacent(classes_qq["e2e2=e1"])))
+    return [(bimodule_from_json, bimodule, "l"), (rep_from_json, rep, "rho")]
+
+
+def test_module_container_must_be_an_object(classes_qq):
+    for parse, _, _ in module_containers(classes_qq):
+        for obj in ([1, 2], "rho", 5):
+            with pytest.raises(FormatError, match="JSON object"):
+                parse(obj)
+
+
+def test_module_container_needs_module_dim_or_maps(classes_qq):
+    for parse, doc, key in module_containers(classes_qq):
+        del doc["module_dim"]
+        for other in ("l", "r", "rho"):
+            if other in doc:
+                doc[other] = []
+        with pytest.raises(FormatError, match="module_dim"):
+            parse(doc)
+        doc[key], doc["module_dim"] = [5, 6], 2
+        with pytest.raises(FormatError, match="list of rows"):
+            parse(doc)
+        doc[key] = 5
+        with pytest.raises(FormatError, match="list of matrices"):
+            parse(doc)
+        doc[key], doc["module_dim"] = [], "abc"
+        with pytest.raises(FormatError, match="module_dim"):
+            parse(doc)
+
+
 def test_matched_pair_round_trip():
     primal, dual = case_inputs("I", QQ)
     mp = dual_structure_maps(primal, dual)
