@@ -140,9 +140,6 @@ class Algebra:
     def basis(self, i: int) -> Vector:
         return basis_vector(self.field, self.dim, i)
 
-    def basis_product(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
-
     def relabel(self, labels) -> "Algebra":
         return Algebra(self.field, tuple(labels), self.c)
 
@@ -374,20 +371,7 @@ def left_mult(alg: Algebra, x: Vector) -> LinearMap:
 
 def right_mult(alg: Algebra, x: Vector) -> LinearMap:
     """Matrix of y -> y*x in the basis; linear in ``x``."""
-    _check_vector(alg, x)
-    f = alg.field
-    n = alg.dim
-    cols = []
-    for j in range(n):
-        acc = [f.zero] * n
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            for k, ck in enumerate(alg.c[j][i]):
-                if ck != f.zero:
-                    acc[k] = f.add(acc[k], f.mul(xi, ck))
-        cols.append(acc)
-    return LinearMap(f, tuple(tuple(cols[j][k] for j in range(n)) for k in range(n)))
+    return left_mult(opposite(alg), x)
 
 
 def ad(alg: Algebra, x: Vector) -> LinearMap:

@@ -28,10 +28,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .algebra import (Algebra, IDENTITY_KINDS, _DEFECT_GENERATORS,
-                      apply_basis_change, default_labels, passes_identity)
+                      default_labels, passes_identity, product)
 from .errors import FieldError, MockLieError, ShapeError
 from .fields import PrimeField, RationalField, characteristic_warnings
 from .linalg import LinearMap
@@ -366,43 +366,41 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
                      max_scan: int = DEFAULT_MAX_SCAN) -> LinearMap | None:
     """Search for an invertible P with apply_basis_change(a, P) == b.
 
-    Over a prime field the scan covers all of GL_n; over the rationals it
-    covers integer matrices with entries in [-bound, bound].  Either way
-    ``FieldError`` is raised before scanning more than ``max_scan``
-    matrices.  Returns the first matrix found in scan order, or None when
-    the search space is exhausted.
+    The candidates are the n x n matrices over GF(p), or over the rationals
+    the integer matrices with entries in [-bound, bound], scanned in
+    ``itertools.product`` order of their row-major entries.  P qualifies
+    when (P e_i)(P e_j) = P (e_i e_j) for all i, j, the left side a product
+    in ``a`` and the right one in ``b``: pairs are tested in order up to the
+    first that fails, and only a matrix passing them all is tested for
+    invertibility.  ``FieldError`` is raised for a negative ``bound`` and
+    before scanning more than ``max_scan`` matrices.  Returns the first
+    invertible match, or None when the scan is exhausted.
     """
     if a.field != b.field:
         raise FieldError("isomorphism search needs a common field")
     if a.dim != b.dim:
         raise ShapeError("isomorphism search needs equal dimensions")
+    if bound < 0:
+        raise FieldError(f"entry bound must be non-negative, got {bound}")
     n = a.dim
     f = a.field
-    if isinstance(f, PrimeField):
-        p = f.p
-        if p ** (n * n) > max_scan:
-            raise FieldError(
-                f"GL scan over {p ** (n * n)} matrices exceeds {max_scan}"
-            )
-        ca, cb = tuple_from_algebra(a), tuple_from_algebra(b)
-        for flat in gl_matrices(p, n):
-            if transport_tuple(ca, flat, n, p) == cb:
-                rows = tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
-                return LinearMap(f, rows)
-        return None
-    entries = range(-bound, bound + 1)
+    entries = range(f.p) if isinstance(f, PrimeField) else range(-bound, bound + 1)
     if len(entries) ** (n * n) > max_scan:
         raise FieldError(
-            f"integer-matrix scan over {len(entries) ** (n * n)} matrices "
-            f"exceeds {max_scan}"
+            f"scan over {len(entries) ** (n * n)} matrices exceeds {max_scan}"
         )
-    for flat in itertools.product(entries, repeat=n * n):
-        rows = tuple(tuple(f.of(x) for x in flat[r * n:(r + 1) * n]) for r in range(n))
-        mat = LinearMap(f, rows)
-        if not mat.is_invertible():
-            continue
-        if apply_basis_change(a, mat).c == b.c:
-            return mat
+
+    def image(rows, v):  # P v, with no LinearMap per candidate
+        return tuple(reduce(f.add, map(f.mul, row, v)) for row in rows)
+
+    for flat in itertools.product([f.of(x) for x in entries], repeat=n * n):
+        rows = tuple(flat[r * n:(r + 1) * n] for r in range(n))
+        cols = tuple(zip(*rows))
+        if all(product(a, cols[i], cols[j]) == image(rows, b.c[i][j])
+               for i in range(n) for j in range(n)):
+            mat = LinearMap(f, rows)
+            if mat.is_invertible():
+                return mat
     return None
 
 

@@ -190,7 +190,7 @@ def cmd_double(args):
         else:
             table = _parse(args.conformance, table_fixture_from_json,
                            _load_json(args.conformance), primal.field)
-        conformance = conformance_diff(double, table)
+        conformance = _parse(args.conformance, conformance_diff, double, table)
     _write(args.out, dumps(double_to_json(double, invariance, conformance)))
     return 0 if invariance.passed else 1
 

@@ -27,7 +27,7 @@ from .algebra import (
     sub_adjacent,
 )
 from .catalog import case_inputs, case_table
-from .errors import PreconditionError, ShapeError
+from .errors import ShapeError, require
 from .fields import Field, require_same_field
 from .linalg import LinearMap, vec_sub
 from .matched import (
@@ -139,14 +139,9 @@ def build_prejj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
     Requires both inputs to satisfy ``left_pre_jj``; the ambient then
     satisfies it exactly when the dual-maps matched-pair checker passes.
     """
-    failures = []
-    for name, alg in (("primal", primal), ("dual", dual)):
-        report = check_identity(alg, "left_pre_jj")
-        if not report.passed:
-            failures.append((name, report))
-    if failures:
-        names = ", ".join(name for name, _ in failures)
-        raise PreconditionError(f"inputs are not pre-JJ: {names}", failures)
+    require("inputs are not pre-JJ: {names}",
+            [("primal", check_identity(primal, "left_pre_jj")),
+             ("dual", check_identity(dual, "left_pre_jj"))])
     return assemble_prejj_double(primal, dual)
 
 
@@ -202,14 +197,9 @@ def build_jj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
     Requires both inputs to satisfy ``jj``; the ambient then satisfies ``jj``
     exactly when the JJ matched-pair checker passes on the dual lift.
     """
-    failures = []
-    for name, alg in (("primal", primal), ("dual", dual)):
-        report = check_identity(alg, "jj")
-        if not report.passed:
-            failures.append((name, report))
-    if failures:
-        names = ", ".join(name for name, _ in failures)
-        raise PreconditionError(f"inputs are not JJ: {names}", failures)
+    require("inputs are not JJ: {names}",
+            [("primal", check_identity(primal, "jj")),
+             ("dual", check_identity(dual, "jj"))])
     return assemble_jj_double(primal, dual)
 
 
@@ -241,13 +231,21 @@ def conformance_diff(double: DoubleConstruction, table) -> list[dict]:
     (e_i + e_j*) (e_k + e_l*); expected coefficients live in the ambient
     coordinates.  Output rows keep the fixture order and carry the recomputed
     value, the fixture value and a match flag; the recomputation is the
-    authority, the fixture is only being diffed.
+    authority, the fixture is only being diffed.  An index outside the
+    primal's basis or an expected vector of the wrong length raises
+    ``ShapeError``.
     """
     amb = double.ambient
     f = amb.field
     n = double.primal.dim
     rows = []
     for (i, j), (k, l), expected in table:
+        if not all(0 <= t < n for t in (i, j, k, l)):
+            raise ShapeError(f"fixture entry ({i}, {j}) * ({k}, {l}) has a "
+                             f"basis index outside 0..{n - 1}")
+        if len(expected) != 2 * n:
+            raise ShapeError(f"fixture entry ({i}, {j}) * ({k}, {l}) expects "
+                             f"{len(expected)} coordinates, not {2 * n}")
         u = tuple(
             f.one if t == i or t == n + j else f.zero for t in range(2 * n)
         )

@@ -27,3 +27,15 @@ class PreconditionError(MockLieError):
     def __init__(self, message, failures=()):
         super().__init__(message)
         self.failures = tuple(failures)
+
+
+def require(message, named_reports):
+    """Raise ``PreconditionError`` unless every report passed.
+
+    ``named_reports`` yields (name, report) pairs; ``{names}`` in ``message``
+    becomes the names of the failing reports, comma-separated, in order.
+    """
+    failures = [(name, report) for name, report in named_reports if not report.passed]
+    if failures:
+        names = ", ".join(name for name, _ in failures)
+        raise PreconditionError(message.format(names=names), failures)

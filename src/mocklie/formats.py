@@ -284,11 +284,23 @@ def double_to_json(double: DoubleConstruction, invariance: CheckReport,
 
 
 def table_fixture_from_json(obj, field: Field):
-    """Parse a conformance fixture: entries of {left, right, expected}."""
+    """Parse a conformance fixture: entries of {left, right, expected}.
+
+    ``left`` and ``right`` are pairs of basis indices and ``expected`` a list
+    of scalars; anything else raises ``FormatError``.
+    """
+    if not isinstance(obj, dict) or not isinstance(obj["entries"], list):
+        raise FormatError("a conformance fixture must be an object with an entries list")
     entries = []
     for row in obj["entries"]:
-        left = tuple(int(x) for x in row["left"])
-        right = tuple(int(x) for x in row["right"])
+        if not isinstance(row, dict) or not all(
+                isinstance(row[key], list) for key in ("left", "right", "expected")):
+            raise FormatError("a fixture entry must be an object of lists "
+                              "left, right and expected")
+        left, right = tuple(row["left"]), tuple(row["right"])
+        if not all(len(pair) == 2 and all(type(x) is int for x in pair)
+                   for pair in (left, right)):
+            raise FormatError("fixture left and right must be pairs of integers")
         expected = tuple(field.parse(str(x)) for x in row["expected"])
         entries.append((left, right, expected))
     return tuple(entries)

@@ -2,7 +2,7 @@
 
 Vectors are plain tuples of field elements; ``LinearMap`` is an immutable
 dense matrix acting on coordinate vectors by ``apply``.  Everything is exact:
-inverses and determinants go through fraction-free-enough Gaussian
+``det``, ``inverse`` and ``is_invertible`` share one Gauss-Jordan
 elimination in the ambient field.
 """
 
@@ -27,10 +27,6 @@ def vec_add(field: Field, u: Vector, v: Vector) -> Vector:
 
 def vec_sub(field: Field, u: Vector, v: Vector) -> Vector:
     return tuple(field.sub(a, b) for a, b in zip(u, v, strict=True))
-
-
-def vec_neg(field: Field, u: Vector) -> Vector:
-    return tuple(field.neg(a) for a in u)
 
 
 def vec_scale(field: Field, s, u: Vector) -> Vector:
@@ -153,9 +149,6 @@ class LinearMap:
             out.append(tuple(new_row))
         return LinearMap(f, tuple(out))
 
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        return self.mul(other)
-
     def transpose(self) -> "LinearMap":
         return LinearMap(self.field, tuple(zip(*self.entries))) if self.entries else self
 
@@ -163,47 +156,42 @@ class LinearMap:
         return tuple(row[j] for row in self.entries)
 
     def det(self):
-        """Determinant by Gaussian elimination (square matrices only)."""
+        """Determinant (square matrices only)."""
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
-        f = self.field
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        det = f.one
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != f.zero), None)
-            if pivot is None:
-                return f.zero
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = f.neg(det)
-            det = f.mul(det, m[col][col])
-            inv = f.inv(m[col][col])
-            for r in range(col + 1, n):
-                if m[r][col] == f.zero:
-                    continue
-                factor = f.mul(m[r][col], inv)
-                for c in range(col, n):
-                    m[r][c] = f.sub(m[r][c], f.mul(factor, m[col][c]))
-        return det
+        return self._gauss_jordan()[0]
 
     def inverse(self) -> "LinearMap":
         """Exact inverse; raises ``ShapeError`` on singular input."""
         if not self.is_square():
             raise ShapeError("inverse of a non-square matrix")
+        inverse = self._gauss_jordan()[1]
+        if inverse is None:
+            raise ShapeError("matrix is singular")
+        return LinearMap(self.field, inverse)
+
+    def is_invertible(self) -> bool:
+        return self.is_square() and self._gauss_jordan()[1] is not None
+
+    def _gauss_jordan(self) -> tuple:
+        """(determinant, rows of the inverse) of a square matrix, by
+        Gauss-Jordan elimination; the rows are None when it is singular."""
         f = self.field
         n = self.rows
         m = [list(row) for row in self.entries]
         aug = [
             [f.one if i == j else f.zero for j in range(n)] for i in range(n)
         ]
+        det = f.one
         for col in range(n):
             pivot = next((r for r in range(col, n) if m[r][col] != f.zero), None)
             if pivot is None:
-                raise ShapeError("matrix is singular")
+                return f.zero, None
             if pivot != col:
                 m[col], m[pivot] = m[pivot], m[col]
                 aug[col], aug[pivot] = aug[pivot], aug[col]
+                det = f.neg(det)
+            det = f.mul(det, m[col][col])
             inv = f.inv(m[col][col])
             m[col] = [f.mul(inv, x) for x in m[col]]
             aug[col] = [f.mul(inv, x) for x in aug[col]]
@@ -213,10 +201,7 @@ class LinearMap:
                 factor = m[r][col]
                 m[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[r], m[col])]
                 aug[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
-        return LinearMap(f, tuple(tuple(row) for row in aug))
-
-    def is_invertible(self) -> bool:
-        return self.is_square() and self.det() != self.field.zero
+        return det, tuple(tuple(row) for row in aug)
 
     def _check_same_shape(self, other: "LinearMap") -> None:
         require_same_field(self.field, other.field)

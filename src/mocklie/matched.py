@@ -28,7 +28,7 @@ from .algebra import (
     report_from_defects,
     sub_adjacent,
 )
-from .errors import PreconditionError, ShapeError
+from .errors import ShapeError, require
 from .fields import require_same_field
 from .linalg import LinearMap, vec_add, vec_zero
 from .reps import JJRep, PreJJBimodule, check_jj_rep, check_prejj_bimodule
@@ -140,20 +140,12 @@ def check_jj_matched_pair(mp: JJMatchedPair,
     representations) are enforced: failures raise ``PreconditionError``
     naming each failing part.
     """
-    failures = []
-    for name, report in (
+    require("matched-pair preconditions failed for: {names}", (
         ("G", check_identity(mp.G, "jj")),
         ("H", check_identity(mp.H, "jj")),
         ("rho", check_jj_rep(JJRep(mp.G, mp.rho))),
         ("mu", check_jj_rep(JJRep(mp.H, mp.mu))),
-    ):
-        if not report.passed:
-            failures.append((name, report))
-    if failures:
-        names = ", ".join(name for name, _ in failures)
-        raise PreconditionError(
-            f"matched-pair preconditions failed for: {names}", failures
-        )
+    ))
     return report_from_defects("jj_matched_pair", mp.G.field,
                                _jj_pair_defects(mp), max_witnesses)
 
@@ -232,18 +224,10 @@ def check_prejj_matched_pair(mp: PreJJMatchedPair,
     B on A's carrier) are enforced; failures raise ``PreconditionError``
     naming the failing side.
     """
-    failures = []
-    for name, report in (
+    require("matched-pair preconditions failed for: {names}", (
         ("(lA, rA) over A", check_prejj_bimodule(PreJJBimodule(mp.A, mp.la, mp.ra))),
         ("(lB, rB) over B", check_prejj_bimodule(PreJJBimodule(mp.B, mp.lb, mp.rb))),
-    ):
-        if not report.passed:
-            failures.append((name, report))
-    if failures:
-        names = ", ".join(name for name, _ in failures)
-        raise PreconditionError(
-            f"matched-pair preconditions failed for: {names}", failures
-        )
+    ))
     return report_from_defects("prejj_matched_pair", mp.A.field,
                                _prejj_pair_defects(mp), max_witnesses)
 
@@ -264,12 +248,8 @@ def subadjacent_matched_pair(mp: PreJJMatchedPair) -> JJMatchedPair:
     result passes the JJ matched-pair checker.  Raises ``PreconditionError``
     when the pre-JJ checker does not pass.
     """
-    report = check_prejj_matched_pair(mp)
-    if not report.passed:
-        raise PreconditionError(
-            "subadjacent_matched_pair needs a valid pre-JJ matched pair",
-            [("matched_pair", report)],
-        )
+    require("subadjacent_matched_pair needs a valid pre-JJ matched pair",
+            [("matched_pair", check_prejj_matched_pair(mp))])
     return JJMatchedPair(
         sub_adjacent(mp.A),
         sub_adjacent(mp.B),

@@ -41,7 +41,7 @@ from .algebra import (
     right_mult,
     sub_adjacent,
 )
-from .errors import PreconditionError, ShapeError
+from .errors import ShapeError, require
 from .fields import require_same_field
 from .linalg import LinearMap, Vector
 
@@ -214,11 +214,7 @@ def jj_semidirect(rep: JJRep) -> Algebra:
     Requires a valid representation (the construction is only a JJ algebra in
     that case); raises ``PreconditionError`` otherwise.
     """
-    report = check_jj_rep(rep)
-    if not report.passed:
-        raise PreconditionError(
-            "jj_semidirect needs a valid representation", [("rho", report)]
-        )
+    require("jj_semidirect needs a valid representation", [("rho", check_jj_rep(rep))])
     return _semidirect_table(rep.algebra, rep.maps, rep.maps, rep.module_dim)
 
 
@@ -325,11 +321,7 @@ def sum_rep(bm: PreJJBimodule) -> JJRep:
 
     Requires a valid bimodule; the result always passes ``check_jj_rep``.
     """
-    report = check_prejj_bimodule(bm)
-    if not report.passed:
-        raise PreconditionError(
-            "sum_rep needs a valid bimodule", [("bimodule", report)]
-        )
+    require("sum_rep needs a valid bimodule", [("bimodule", check_prejj_bimodule(bm))])
     return JJRep(
         sub_adjacent(bm.algebra),
         tuple(li.add(ri) for li, ri in zip(bm.left, bm.right)),

@@ -485,3 +485,55 @@ def test_rational_isomorphism_scan_is_guarded(classes_qq):
     with pytest.raises(FieldError, match="exceeds"):
         find_isomorphism(a, b, bound=50)
     assert find_isomorphism(a, b, bound=2) is not None
+
+
+def test_isomorphism_scan_rejects_negative_bound(classes_qq):
+    alg = classes_qq["e1e1=e2"]
+    with pytest.raises(FieldError, match="bound"):
+        find_isomorphism(alg, alg, bound=-3)
+
+
+def _listed_scan(a, b, bound):
+    """Reference scan that transports ``a`` along each invertible candidate:
+    over GF(p) the first of ``gl_matrices`` whose ``transport_tuple`` image is
+    b, over QQ the first invertible integer matrix whose
+    ``apply_basis_change`` image is b."""
+    from mocklie.algebra import apply_basis_change
+
+    n, f = a.dim, a.field
+    if f.characteristic:
+        ca, cb = tuple_from_algebra(a), tuple_from_algebra(b)
+        for flat in gl_matrices(f.p, n):
+            if transport_tuple(ca, flat, n, f.p) == cb:
+                return LinearMap(f, tuple(flat[r * n:(r + 1) * n] for r in range(n)))
+        return None
+    for flat in itertools.product(range(-bound, bound + 1), repeat=n * n):
+        mat = LinearMap.from_rows(f, [flat[r * n:(r + 1) * n] for r in range(n)])
+        if mat.is_invertible() and apply_basis_change(a, mat).c == b.c:
+            return mat
+    return None
+
+
+@pytest.mark.parametrize("field, bound", [(GF2, 2), (GF3, 2), (GF5, 2),
+                                          (QQ, 1), (QQ, 2)],
+                         ids=["GF2", "GF3", "GF5", "QQ-bound1", "QQ-bound2"])
+def test_isomorphism_scan_matches_listed_scan(field, bound):
+    from mocklie.algebra import Algebra, apply_basis_change
+
+    classes = class_algebras(field)
+    shear = LinearMap.from_rows(field, [[1, 1], [0, 1]])
+    swap_shear = LinearMap.from_rows(field, [[0, 1], [1, 1]])
+    mixed = Algebra.from_products(field, 2, {(0, 0): (1, 1), (0, 1): (0, 1),
+                                             (1, 0): (2, 0)})
+    algebras = [
+        classes["zero"], classes["e1e1=e2"], classes["e2e2=e1"],
+        apply_basis_change(classes["e1e1=e2"], shear),
+        mixed,
+        apply_basis_change(mixed, swap_shear),
+    ]
+    outcomes = set()
+    for a, b in itertools.product(algebras, repeat=2):
+        expected = _listed_scan(a, b, bound)
+        assert find_isomorphism(a, b, bound=bound) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}

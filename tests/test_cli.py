@@ -360,3 +360,35 @@ def test_check_accepts_invertible_fraction_over_prime_field(tmp_path):
     assert json.loads(out.read_text())["passed"] is True
     assert main(["table", str(path), "--out", str(out)]) == 0
     assert "e1*e1 = 3*e2" in out.read_text()
+
+
+def _fixture_with(change):
+    from mocklie.catalog import case_table
+    from mocklie.formats import table_fixture_to_json
+
+    doc = json.loads(dumps(table_fixture_to_json("I", QQ, case_table("I"))))
+    change(doc["entries"][0])
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    5,
+    {"entries": 5},
+    _fixture_with(lambda row: row.update(expected=["1", "0", "0"])),
+    _fixture_with(lambda row: row.update(left=[5, 0])),
+    _fixture_with(lambda row: row.update(left=[1.7, 0])),
+], ids=["list", "int", "entries-int", "short-expected", "left-out-of-range",
+        "left-float"])
+def test_double_malformed_conformance_fixture(case_one_files, tmp_path, capsys, doc):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    assert main(["double", *case_one_files, "--conformance", str(path),
+                 "--out", str(tmp_path / "d.json")]) == 2
+    assert_one_error_line(capsys, str(path))
+
+
+def test_iso_negative_bound(tmp_path, capsys):
+    a = write_algebra(tmp_path / "a.json", class_algebra("e1e1=e2"))
+    assert main(["iso", a, a, "--bound", "-3"]) == 2
+    assert_one_error_line(capsys, "bound")

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import GF5, rand_invertible, rand_matrix, seeded
 from mocklie.errors import ShapeError
@@ -59,3 +62,41 @@ def test_shape_errors():
         m.apply((QQ.one,))
     with pytest.raises(ShapeError):
         LinearMap.from_rows(QQ, [[1, 2], [1]])
+
+
+def leibniz_det(field, rows):
+    n = len(rows)
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = field.one if inversions % 2 == 0 else field.neg(field.one)
+        for r, c in enumerate(perm):
+            term = field.mul(term, rows[r][c])
+        total = field.add(total, term)
+    return total
+
+
+@st.composite
+def square_matrices(draw):
+    field = draw(st.sampled_from([QQ, GF5]))
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = rows[0]  # repeated row: singular
+    return LinearMap.from_rows(field, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=square_matrices())
+def test_elimination_matches_leibniz(m):
+    det = m.det()
+    assert det == leibniz_det(m.field, m.entries)
+    assert m.is_invertible() == (det != m.field.zero)
+    if det != m.field.zero:
+        identity = LinearMap.identity(m.field, m.rows)
+        assert m.mul(m.inverse()) == identity
+        assert m.inverse().mul(m) == identity
+    else:
+        with pytest.raises(ShapeError):
+            m.inverse()
