@@ -6,6 +6,9 @@ of ``e_i * e_j``, so ``e_i * e_j = sum_k c[i][j][k] e_k``.  All identity
 checks run on basis tuples only; bilinearity makes that sufficient and keeps
 every check exact and O(n^3).  Each identity is defined once, by its defect
 generator; the census solver in ``classify`` compiles its equations from it.
+Each defect is one ``linalg.combination`` of the rows ``c[i]`` (the products
+e_i e_m) and the columns e_m e_k, taken once per generator call; ``product``
+and ``left_mult`` go through the same kernel.
 
 Identity kinds
 --------------
@@ -31,6 +34,7 @@ from .linalg import (
     LinearMap,
     Vector,
     basis_vector,
+    combination,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -163,47 +167,9 @@ def product(alg: Algebra, x: Vector, y: Vector) -> Vector:
     _check_vector(alg, x)
     _check_vector(alg, y)
     f = alg.field
-    zero = f.zero
-    out = [zero] * alg.dim
-    for i, xi in enumerate(x):
-        if xi == zero:
-            continue
-        row = alg.c[i]
-        for j, yj in enumerate(y):
-            if yj == zero:
-                continue
-            s = f.mul(xi, yj)
-            for k, ck in enumerate(row[j]):
-                if ck != zero:
-                    out[k] = f.add(out[k], f.mul(s, ck))
-    return tuple(out)
-
-
-def _basis_times_vec(alg: Algebra, i: int, v: Vector) -> Vector:
-    # e_i * v, for v a coordinate vector
-    f = alg.field
-    out = [f.zero] * alg.dim
-    row = alg.c[i]
-    for m, vm in enumerate(v):
-        if vm == f.zero:
-            continue
-        for k, ck in enumerate(row[m]):
-            if ck != f.zero:
-                out[k] = f.add(out[k], f.mul(vm, ck))
-    return tuple(out)
-
-
-def _vec_times_basis(alg: Algebra, v: Vector, k: int) -> Vector:
-    # v * e_k
-    f = alg.field
-    out = [f.zero] * alg.dim
-    for m, vm in enumerate(v):
-        if vm == f.zero:
-            continue
-        for t, ct in enumerate(alg.c[m][k]):
-            if ct != f.zero:
-                out[t] = f.add(out[t], f.mul(vm, ct))
-    return tuple(out)
+    # x*y = sum_i sum_j x_i y_j (e_i e_j): coefficients x_i y over the row c[i]
+    return combination(f, alg.dim, ((vec_scale(f, xi, y), row)
+                                    for xi, row in zip(x, alg.c) if xi != f.zero))
 
 
 def antiassociator(alg: Algebra, x: Vector, y: Vector, z: Vector) -> Vector:
@@ -213,58 +179,55 @@ def antiassociator(alg: Algebra, x: Vector, y: Vector, z: Vector) -> Vector:
                    product(alg, x, product(alg, y, z)))
 
 
-def _basis_antiassociator(alg: Algebra, i: int, j: int, k: int) -> Vector:
-    return vec_add(
-        alg.field,
-        _vec_times_basis(alg, alg.c[i][j], k),
-        _basis_times_vec(alg, i, alg.c[j][k]),
-    )
+def _right_columns(alg: Algebra) -> tuple:
+    # entry k lists the products e_m * e_k over m
+    return tuple(zip(*alg.c))
+
+
+def _antiassociator_terms(c, right, i, j, k) -> tuple:
+    # (e_i e_j) e_k + e_i (e_j e_k), as terms of ``combination``
+    return (c[i][j], right[k]), (c[j][k], c[i])
 
 
 def _defects_antiassociative(alg: Algebra):
-    n = alg.dim
+    n, f, c = alg.dim, alg.field, alg.c
+    right = _right_columns(alg)
     for i, j, k in itertools.product(range(n), repeat=3):
-        yield (i, j, k), _basis_antiassociator(alg, i, j, k)
+        yield (i, j, k), combination(f, n, _antiassociator_terms(c, right, i, j, k))
 
 
 def _defects_left_pre_jj(alg: Algebra):
-    n = alg.dim
-    f = alg.field
+    n, f, c = alg.dim, alg.field, alg.c
+    right = _right_columns(alg)
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                d = vec_add(
-                    f,
-                    _basis_antiassociator(alg, i, j, k),
-                    _basis_antiassociator(alg, j, i, k),
-                )
+                d = combination(f, n, _antiassociator_terms(c, right, i, j, k)
+                                + _antiassociator_terms(c, right, j, i, k))
                 yield (i, j, k), d
 
 
 def _defects_right_pre_jj(alg: Algebra):
-    n = alg.dim
-    f = alg.field
+    n, f, c = alg.dim, alg.field, alg.c
+    right = _right_columns(alg)
     for i in range(n):
         for j in range(n):
             for k in range(j, n):
-                d = vec_add(
-                    f,
-                    _basis_antiassociator(alg, i, j, k),
-                    _basis_antiassociator(alg, i, k, j),
-                )
+                d = combination(f, n, _antiassociator_terms(c, right, i, j, k)
+                                + _antiassociator_terms(c, right, i, k, j))
                 yield (i, j, k), d
 
 
 def _defects_jj(alg: Algebra):
-    n = alg.dim
-    f = alg.field
+    n, f, c = alg.dim, alg.field, alg.c
+    right = _right_columns(alg)
     for i in range(n):
         for j in range(i + 1, n):
-            yield (i, j), vec_sub(f, alg.c[i][j], alg.c[j][i])
+            yield (i, j), vec_sub(f, c[i][j], c[j][i])
     for i, j, k in itertools.product(range(n), repeat=3):
-        d = _vec_times_basis(alg, alg.c[i][j], k)
-        d = vec_add(f, d, _vec_times_basis(alg, alg.c[k][i], j))
-        d = vec_add(f, d, _vec_times_basis(alg, alg.c[j][k], i))
+        # (e_i e_j) e_k + (e_k e_i) e_j + (e_j e_k) e_i
+        d = combination(f, n, ((c[i][j], right[k]), (c[k][i], right[j]),
+                               (c[j][k], right[i])))
         yield (i, j, k), d
 
 
@@ -356,17 +319,9 @@ def left_mult(alg: Algebra, x: Vector) -> LinearMap:
     _check_vector(alg, x)
     f = alg.field
     n = alg.dim
-    cols = []  # column j = x * e_j
-    for j in range(n):
-        acc = [f.zero] * n
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            for k, ck in enumerate(alg.c[i][j]):
-                if ck != f.zero:
-                    acc[k] = f.add(acc[k], f.mul(xi, ck))
-        cols.append(acc)
-    return LinearMap(f, tuple(tuple(cols[j][k] for j in range(n)) for k in range(n)))
+    # column j = x * e_j
+    cols = [combination(f, n, ((x, right_j),)) for right_j in _right_columns(alg)]
+    return LinearMap(f, tuple(zip(*cols)))
 
 
 def right_mult(alg: Algebra, x: Vector) -> LinearMap:

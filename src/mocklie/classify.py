@@ -28,13 +28,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .algebra import (Algebra, IDENTITY_KINDS, _DEFECT_GENERATORS,
                       default_labels, passes_identity, product)
 from .errors import FieldError, MockLieError, ShapeError
 from .fields import PrimeField, RationalField, characteristic_warnings
-from .linalg import LinearMap
+from .linalg import LinearMap, combination
 
 DEFAULT_MAX_SCAN = 10_000_000
 
@@ -389,14 +389,12 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
         raise FieldError(
             f"scan over {len(entries) ** (n * n)} matrices exceeds {max_scan}"
         )
-
-    def image(rows, v):  # P v, with no LinearMap per candidate
-        return tuple(reduce(f.add, map(f.mul, row, v)) for row in rows)
-
     for flat in itertools.product([f.of(x) for x in entries], repeat=n * n):
         rows = tuple(flat[r * n:(r + 1) * n] for r in range(n))
         cols = tuple(zip(*rows))
-        if all(product(a, cols[i], cols[j]) == image(rows, b.c[i][j])
+        # (P e_i)(P e_j) in a against P (e_i e_j), which combines columns of P
+        if all(product(a, cols[i], cols[j])
+               == combination(f, n, ((b.c[i][j], cols),))
                for i in range(n) for j in range(n)):
             mat = LinearMap(f, rows)
             if mat.is_invertible():

@@ -95,6 +95,12 @@ def canonical_form(field: Field, n: int) -> BilinearForm:
     return BilinearForm(LinearMap(field, tuple(rows)))
 
 
+def _require_dual_pair(primal: Algebra, dual: Algebra) -> None:
+    require_same_field(primal.field, dual.field)
+    if primal.dim != dual.dim:
+        raise ShapeError("primal and dual algebras must have equal dimension")
+
+
 def dual_structure_maps(primal: Algebra, dual: Algebra) -> PreJJMatchedPair:
     """Matched-pair candidate from the transposed multiplication operators.
 
@@ -102,9 +108,7 @@ def dual_structure_maps(primal: Algebra, dual: Algebra) -> PreJJMatchedPair:
     the dual carrier); lB = R^T and rB = L^T of the dual product (acting back
     on the primal carrier).
     """
-    require_same_field(primal.field, dual.field)
-    if primal.dim != dual.dim:
-        raise ShapeError("primal and dual algebras must have equal dimension")
+    _require_dual_pair(primal, dual)
     reg_primal = dual_bimodule(PreJJBimodule.regular(primal))
     reg_dual = dual_bimodule(PreJJBimodule.regular(dual))
     return PreJJMatchedPair(
@@ -156,9 +160,7 @@ def jj_matched_pair_from_duals(primal: Algebra, dual: Algebra,
     algebra over the supported fields, where the two conventions are
     therefore indistinguishable (the sign-guard tests pin this down).
     """
-    require_same_field(primal.field, dual.field)
-    if primal.dim != dual.dim:
-        raise ShapeError("primal and dual algebras must have equal dimension")
+    _require_dual_pair(primal, dual)
     f = primal.field
     s = f.of(sign)
 
@@ -175,9 +177,7 @@ def jj_matched_pair_from_duals(primal: Algebra, dual: Algebra,
 
 def assemble_jj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
     """Assemble the JJ double (bracket via transposed left multiplications)."""
-    require_same_field(primal.field, dual.field)
-    if primal.dim != dual.dim:
-        raise ShapeError("primal and dual algebras must have equal dimension")
+    _require_dual_pair(primal, dual)
     n = primal.dim
     rho = tuple(left_mult(primal, primal.basis(i)).transpose() for i in range(n))
     mu = tuple(left_mult(dual, dual.basis(a)).transpose() for a in range(n))

@@ -7,7 +7,9 @@ byte-deterministic: keys sorted, two-space indent, trailing newline.
 Algebra files: ``{"dim", "field", "basis", "products"}`` where ``field`` is
 ``{"kind": "rational"}`` or ``{"kind": "prime", "p": int}`` and ``products``
 lists ``{"i", "j", "coeffs"}`` rows for the nonzero basis products (0-based
-indices; omitted pairs multiply to zero).
+indices; omitted pairs multiply to zero).  ``dim``, ``i``, ``j``, ``p`` and
+``module_dim`` must be JSON integers and ``basis``, ``products`` and
+``coeffs`` lists; anything else raises ``FormatError``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,19 @@ def field_to_json(field: Field) -> dict:
     raise FormatError(f"unknown field {field!r}")
 
 
+def _integer(value, what: str) -> int:
+    # a JSON integer: bools, floats and numeric strings are refused
+    if type(value) is not int:
+        raise FormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def field_from_json(obj) -> Field:
     try:
         kind = obj["kind"]
@@ -51,7 +66,7 @@ def field_from_json(obj) -> Field:
         return QQ
     if kind == "prime":
         try:
-            return PrimeField(int(obj["p"]))
+            return PrimeField(_integer(obj["p"], "prime field 'p'"))
         except KeyError:
             raise FormatError("prime field descriptor needs 'p'") from None
     raise FormatError(f"unknown field kind {kind!r}")
@@ -82,19 +97,21 @@ def algebra_from_json(obj) -> Algebra:
     if not isinstance(obj, dict):
         raise FormatError("algebra document must be a JSON object")
     try:
-        dim = int(obj["dim"])
+        dim = _integer(obj["dim"], "dim")
         field = field_from_json(obj["field"])
     except KeyError as exc:
         raise FormatError(f"algebra document is missing {exc}") from None
-    labels = obj.get("basis") or None
+    labels = _list(obj.get("basis", []), "basis") or None
     if labels is not None and len(labels) != dim:
         raise FormatError("basis label count does not match dim")
     products = {}
-    for row in obj.get("products", ()):
+    for row in _list(obj.get("products", []), "products"):
         try:
-            i, j, coeffs = int(row["i"]), int(row["j"]), row["coeffs"]
+            i, j, coeffs = row["i"], row["j"], row["coeffs"]
         except (TypeError, KeyError) as exc:
             raise FormatError(f"bad product row {row!r}: {exc}") from None
+        i, j = _integer(i, "product index 'i'"), _integer(j, "product index 'j'")
+        _list(coeffs, f"product ({i}, {j}) 'coeffs'")
         if not (0 <= i < dim and 0 <= j < dim):
             raise FormatError(f"product indices ({i}, {j}) out of range for dim {dim}")
         if len(coeffs) != dim:
@@ -143,11 +160,8 @@ def _module_container(obj, keys):
     for key, maps in zip(keys, lists):
         if not isinstance(maps, list):
             raise FormatError(f"{key!r} must be a list of matrices")
-    if obj.get("module_dim"):
-        try:
-            m = int(obj["module_dim"])
-        except (TypeError, ValueError):
-            raise FormatError(f"bad module_dim {obj['module_dim']!r}") from None
+    if obj.get("module_dim") is not None:
+        m = _integer(obj["module_dim"], "module_dim")
     elif lists[0] and isinstance(lists[0][0], list):
         m = len(lists[0][0])
     else:

@@ -4,6 +4,12 @@ Vectors are plain tuples of field elements; ``LinearMap`` is an immutable
 dense matrix acting on coordinate vectors by ``apply``.  Everything is exact:
 ``det``, ``inverse`` and ``is_invertible`` share one Gauss-Jordan
 elimination in the ambient field.
+
+``combination`` is the one linear-combination loop: ``LinearMap.apply``
+and ``mul``, ``product``, ``left_mult`` and the identity generators in ``algebra``, the
+matched-pair equations in ``matched``, the linear part of
+``reps._flat_sum`` and the isomorphism test in ``classify`` all sum
+coefficients times vectors through it.
 """
 
 from __future__ import annotations
@@ -36,6 +42,24 @@ def vec_scale(field: Field, s, u: Vector) -> Vector:
 def vec_is_zero(field: Field, u: Vector) -> bool:
     z = field.zero
     return all(a == z for a in u)
+
+
+def combination(field: Field, size: int, terms) -> Vector:
+    """Sum of coeffs[k] * vectors[k] over every ``(coeffs, vectors)`` pair.
+
+    Each vector has ``size`` entries.  Zero coefficients and zero entries
+    are skipped, and only ``zero``, ``add``, ``mul`` and comparison with
+    ``zero`` are used, so ``classify._Polynomials`` works as a field too.
+    """
+    add, mul, zero = field.add, field.mul, field.zero
+    out = [zero] * size
+    for coeffs, vectors in terms:
+        for ck, vec in zip(coeffs, vectors):
+            if ck != zero:
+                for t, x in enumerate(vec):
+                    if x != zero:
+                        out[t] = add(out[t], mul(ck, x))
+    return tuple(out)
 
 
 def basis_vector(field: Field, n: int, i: int) -> Vector:
@@ -96,15 +120,7 @@ class LinearMap:
         if len(v) != self.cols:
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} map to "
                              f"vector of length {len(v)}")
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = f.zero
-            for a, x in zip(row, v):
-                if a != f.zero and x != f.zero:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        return combination(self.field, self.rows, ((v, zip(*self.entries)),))
 
     def add(self, other: "LinearMap") -> "LinearMap":
         self._check_same_shape(other)
@@ -134,20 +150,10 @@ class LinearMap:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        f = self.field
-        cols = other.cols
-        out = []
-        for row in self.entries:
-            new_row = [f.zero] * cols
-            for a, orow in zip(row, other.entries):
-                if a == f.zero:
-                    continue
-                for c in range(cols):
-                    b = orow[c]
-                    if b != f.zero:
-                        new_row[c] = f.add(new_row[c], f.mul(a, b))
-            out.append(tuple(new_row))
-        return LinearMap(f, tuple(out))
+        # row r of the product combines the rows of ``other``
+        return LinearMap(self.field, tuple(
+            combination(self.field, other.cols, ((row, other.entries),))
+            for row in self.entries))
 
     def transpose(self) -> "LinearMap":
         return LinearMap(self.field, tuple(zip(*self.entries))) if self.entries else self

@@ -9,6 +9,11 @@ deliberately not gated on the checkers, so both directions of the
 "checker passes iff the product satisfies the identity" equivalences stay
 independently testable.
 
+Each equation term is one ``(coefficients, vectors)`` pair of
+``linalg.combination``: the vectors are columns of the action maps and the
+products of the algebras, taken once per checker call, so no term builds a
+``LinearMap`` or applies one.
+
 Basis convention: the product carrier is ordered first-algebra basis first,
 then second-algebra basis.
 """
@@ -21,16 +26,15 @@ from .algebra import (
     Algebra,
     CheckReport,
     DEFAULT_MAX_WITNESSES,
-    _basis_times_vec,
     _block_product,
-    _vec_times_basis,
+    _right_columns,
     check_identity,
     report_from_defects,
     sub_adjacent,
 )
 from .errors import ShapeError, require
 from .fields import require_same_field
-from .linalg import LinearMap, vec_add, vec_zero
+from .linalg import LinearMap, combination
 from .reps import JJRep, PreJJBimodule, check_jj_rep, check_prejj_bimodule
 
 
@@ -93,42 +97,34 @@ class PreJJMatchedPair:
         return cls(A, B, zbs, zbs, zas, zas)
 
 
-def _act(maps, coeffs, vector, field):
-    # (sum_k coeffs[k] maps[k])(vector)
-    out = vec_zero(field, maps[0].rows)
-    for ck, m in zip(coeffs, maps):
-        if ck == field.zero:
-            continue
-        out = vec_add(field, out, tuple(field.mul(ck, x) for x in m.apply(vector)))
-    return out
+def _columns(maps) -> tuple:
+    # (cols, at): cols[s][k] and at[k][s] are both column k of maps[s]
+    cols = tuple(tuple(zip(*m.entries)) for m in maps)
+    return cols, tuple(zip(*cols))
 
 
 def _jj_pair_defects(mp: JJMatchedPair):
     G, H = mp.G, mp.H
     f = G.field
     ng, nh = G.dim, H.dim
-    rho, mu = mp.rho, mp.mu
-    eh = [H.basis(b) for b in range(nh)]
-    eg = [G.basis(i) for i in range(ng)]
+    rho, rho_at = _columns(mp.rho)
+    mu, mu_at = _columns(mp.mu)
+    g_right, h_right = _right_columns(G), _right_columns(H)
     # eqt1: rho(x)(ab) + rho(x)a.b + a.rho(x)b + rho(mu(a)x)b + rho(mu(b)x)a = 0
     for i in range(ng):
         for a in range(nh):
             for b in range(a, nh):
-                d = rho[i].apply(H.c[a][b])
-                d = vec_add(f, d, _vec_times_basis(H, rho[i].column(a), b))
-                d = vec_add(f, d, _basis_times_vec(H, a, rho[i].column(b)))
-                d = vec_add(f, d, _act(rho, mu[a].column(i), eh[b], f))
-                d = vec_add(f, d, _act(rho, mu[b].column(i), eh[a], f))
+                d = combination(f, nh, (
+                    (H.c[a][b], rho[i]), (rho[i][a], h_right[b]), (rho[i][b], H.c[a]),
+                    (mu[a][i], rho_at[b]), (mu[b][i], rho_at[a])))
                 yield (i, a, b), d, "eqt1"
     # eqt2: mu(a)(xy) + mu(a)x.y + x.mu(a)y + mu(rho(x)a)y + mu(rho(y)a)x = 0
     for a in range(nh):
         for i in range(ng):
             for j in range(i, ng):
-                d = mu[a].apply(G.c[i][j])
-                d = vec_add(f, d, _vec_times_basis(G, mu[a].column(i), j))
-                d = vec_add(f, d, _basis_times_vec(G, i, mu[a].column(j)))
-                d = vec_add(f, d, _act(mu, rho[i].column(a), eg[j], f))
-                d = vec_add(f, d, _act(mu, rho[j].column(a), eg[i], f))
+                d = combination(f, ng, (
+                    (G.c[i][j], mu[a]), (mu[a][i], g_right[j]), (mu[a][j], G.c[i]),
+                    (rho[i][a], mu_at[j]), (rho[j][a], mu_at[i])))
                 yield (a, i, j), d, "eqt2"
 
 
@@ -163,56 +159,46 @@ def _prejj_pair_defects(mp: PreJJMatchedPair):
     A, B = mp.A, mp.B
     f = A.field
     na, nb = A.dim, B.dim
-    la, ra, lb, rb = mp.la, mp.ra, mp.lb, mp.rb
-    ea = [A.basis(i) for i in range(na)]
-    eb = [B.basis(a) for a in range(nb)]
+    la, la_at = _columns(mp.la)
+    ra, ra_at = _columns(mp.ra)
+    lb, lb_at = _columns(mp.lb)
+    rb, rb_at = _columns(mp.rb)
+    a_right, b_right = _right_columns(A), _right_columns(B)
     # eqq1: rA(x)[a,b] + rA(lB(b)x)a + rA(lB(a)x)b + a(rA(x)b) + b(rA(x)a) = 0
     for i in range(na):
         for a in range(nb):
             for b in range(a, nb):
-                bracket = vec_add(f, B.c[a][b], B.c[b][a])
-                d = ra[i].apply(bracket)
-                d = vec_add(f, d, _act(ra, lb[b].column(i), eb[a], f))
-                d = vec_add(f, d, _act(ra, lb[a].column(i), eb[b], f))
-                d = vec_add(f, d, _basis_times_vec(B, a, ra[i].column(b)))
-                d = vec_add(f, d, _basis_times_vec(B, b, ra[i].column(a)))
+                d = combination(f, nb, (
+                    (B.c[a][b], ra[i]), (B.c[b][a], ra[i]), (lb[b][i], ra_at[a]),
+                    (lb[a][i], ra_at[b]), (ra[i][b], B.c[a]), (ra[i][a], B.c[b])))
                 yield (i, a, b), d, "eqq1"
     # eqq2: lA(x)(ab) + lA(lB(a)x + rB(a)x)b + (lA(x)a + rA(x)a).b
     #       + rA(rB(b)x)a + a.(lA(x)b) = 0
     for i in range(na):
         for a in range(nb):
             for b in range(nb):
-                d = la[i].apply(B.c[a][b])
-                mixed = vec_add(f, lb[a].column(i), rb[a].column(i))
-                d = vec_add(f, d, _act(la, mixed, eb[b], f))
-                acted = vec_add(f, la[i].column(a), ra[i].column(a))
-                d = vec_add(f, d, _vec_times_basis(B, acted, b))
-                d = vec_add(f, d, _act(ra, rb[b].column(i), eb[a], f))
-                d = vec_add(f, d, _basis_times_vec(B, a, la[i].column(b)))
+                d = combination(f, nb, (
+                    (B.c[a][b], la[i]), (lb[a][i], la_at[b]), (rb[a][i], la_at[b]),
+                    (la[i][a], b_right[b]), (ra[i][a], b_right[b]),
+                    (rb[b][i], ra_at[a]), (la[i][b], B.c[a])))
                 yield (i, a, b), d, "eqq2"
     # eqq3: rB(a)[x,y] + rB(lA(y)a)x + rB(lA(x)a)y + x(rB(a)y) + y(rB(a)x) = 0
     for a in range(nb):
         for i in range(na):
             for j in range(i, na):
-                bracket = vec_add(f, A.c[i][j], A.c[j][i])
-                d = rb[a].apply(bracket)
-                d = vec_add(f, d, _act(rb, la[j].column(a), ea[i], f))
-                d = vec_add(f, d, _act(rb, la[i].column(a), ea[j], f))
-                d = vec_add(f, d, _basis_times_vec(A, i, rb[a].column(j)))
-                d = vec_add(f, d, _basis_times_vec(A, j, rb[a].column(i)))
+                d = combination(f, na, (
+                    (A.c[i][j], rb[a]), (A.c[j][i], rb[a]), (la[j][a], rb_at[i]),
+                    (la[i][a], rb_at[j]), (rb[a][j], A.c[i]), (rb[a][i], A.c[j])))
                 yield (a, i, j), d, "eqq3"
     # eqq4: lB(a)(xy) + lB(lA(x)a)y + lB(rA(x)a)y + (lB(a)x)y + (rB(a)x)y
     #       + x(lB(a)y) + rB(rA(y)a)x = 0
     for a in range(nb):
         for i in range(na):
             for j in range(na):
-                d = lb[a].apply(A.c[i][j])
-                d = vec_add(f, d, _act(lb, la[i].column(a), ea[j], f))
-                d = vec_add(f, d, _act(lb, ra[i].column(a), ea[j], f))
-                d = vec_add(f, d, _vec_times_basis(A, lb[a].column(i), j))
-                d = vec_add(f, d, _vec_times_basis(A, rb[a].column(i), j))
-                d = vec_add(f, d, _basis_times_vec(A, i, lb[a].column(j)))
-                d = vec_add(f, d, _act(rb, ra[j].column(a), ea[i], f))
+                d = combination(f, na, (
+                    (A.c[i][j], lb[a]), (la[i][a], lb_at[j]), (ra[i][a], lb_at[j]),
+                    (lb[a][i], a_right[j]), (rb[a][i], a_right[j]),
+                    (lb[a][j], A.c[i]), (ra[j][a], rb_at[i])))
                 yield (a, i, j), d, "eqq4"
 
 

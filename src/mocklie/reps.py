@@ -43,7 +43,7 @@ from .algebra import (
 )
 from .errors import ShapeError, require
 from .fields import require_same_field
-from .linalg import LinearMap, Vector
+from .linalg import LinearMap, Vector, combination
 
 
 def _validate_map_family(alg: Algebra, maps, what: str) -> int:
@@ -143,12 +143,13 @@ def _flat_sum(field, m, products, combinations=()):
     """Row-major entries of ``sum(a b) + sum(sum_k coeffs[k] maps[k])``.
 
     ``products`` holds pairs ``(a, b)`` and ``combinations`` pairs
-    ``(maps, coeffs)``; every matrix is a row-major tuple of ``m * m``
-    scalars.  Evaluating on flat tuples keeps the checkers free of a
-    validated ``LinearMap`` per term.
+    ``(coeffs, maps)``; every matrix is a row-major tuple of ``m * m``
+    scalars.  The linear part is one ``linalg.combination``, and the
+    products are added to it here.  Evaluating on flat tuples keeps the
+    checkers free of a validated ``LinearMap`` per term.
     """
     add, mul, zero = field.add, field.mul, field.zero
-    acc = [zero] * (m * m)
+    acc = list(combination(field, m * m, combinations))
     for a, b in products:
         for row in range(0, m * m, m):
             for k in range(m):
@@ -158,11 +159,6 @@ def _flat_sum(field, m, products, combinations=()):
                 for col, y in enumerate(b[k * m:(k + 1) * m]):
                     if y != zero:
                         acc[row + col] = add(acc[row + col], mul(x, y))
-    for maps, coeffs in combinations:
-        for ck, mp in zip(coeffs, maps):
-            if ck != zero:
-                for t, x in enumerate(mp):
-                    acc[t] = add(acc[t], mul(ck, x))
     return tuple(acc)
 
 
@@ -180,7 +176,7 @@ def _rep_condition_defects(rep: JJRep):
     for i in range(n):
         for j in range(i, n):
             d = _flat_sum(f, m, ((rho[i], rho[j]), (rho[j], rho[i])),
-                          ((rho, alg.c[i][j]),))
+                          ((alg.c[i][j], rho),))
             yield (i, j), d, "representation"
 
 
@@ -235,19 +231,19 @@ def _bimodule_condition_defects(bm: PreJJBimodule):
         for j in range(i, n):
             # l_{xy} + l_x l_y + l_{yx} + l_y l_x
             d = _flat_sum(f, m, ((l[i], l[j]), (l[j], l[i])),
-                          ((l, alg.c[i][j]), (l, alg.c[j][i])))
+                          ((alg.c[i][j], l), (alg.c[j][i], l)))
             yield (i, j), d, "left"
     for i in range(n):
         for j in range(n):
             # r_y l_x + l_x r_y + r_y r_x + r_{xy}
             d = _flat_sum(f, m, ((r[j], l[i]), (l[i], r[j]), (r[j], r[i])),
-                          ((r, alg.c[i][j]),))
+                          ((alg.c[i][j], r),))
             yield (i, j), d, "mixed"
     for i in range(n):
         for j in range(n):
             # r_{xy} + r_y r_x + r_y l_x + l_x r_y
             d = _flat_sum(f, m, ((r[j], r[i]), (r[j], l[i]), (l[i], r[j])),
-                          ((r, alg.c[i][j]),))
+                          ((alg.c[i][j], r),))
             yield (i, j), d, "right"
 
 
@@ -284,7 +280,7 @@ def _bimodule_displayed_defects(bm: PreJJBimodule):
         for j in range(i, n):
             # l_{xy} + l_x l_y + l_{yx} + l_y l_x
             d = _flat_sum(f, m, ((l[i], l[j]), (l[j], l[i])),
-                          ((l, alg.c[i][j]), (l, alg.c[j][i])))
+                          ((alg.c[i][j], l), (alg.c[j][i], l)))
             yield (i, j), d, "eqbimodule2"
 
 

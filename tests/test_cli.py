@@ -283,6 +283,26 @@ def test_check_malformed_scalar_exit_code(tmp_path, capsys, text):
     assert_one_error_line(capsys, str(path), repr(text), "QQ")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(dim="abc"),
+    lambda doc: doc.update(basis=5),
+    lambda doc: doc.update(products=5),
+    lambda doc: doc["products"][0].update(coeffs=5),
+    lambda doc: doc["products"][0].update(i="a"),
+    lambda doc: doc.update(field={"kind": "prime", "p": "x"}),
+    lambda doc: doc.update(field={"kind": "prime", "p": None}),
+    lambda doc: doc.update(dim=2.5),
+], ids=["dim-abc", "basis-5", "products-5", "coeffs-5", "i-a", "p-x", "p-null",
+        "dim-2.5"])
+def test_check_malformed_algebra_document(tmp_path, capsys, edit):
+    doc = algebra_to_json(class_algebra("e1e1=e2"))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(dumps(doc))
+    assert main(["check", str(path), "--identity", "jj"]) == 2
+    assert_one_error_line(capsys, str(path))
+
+
 def test_check_bad_prime_field_flag(tmp_path, capsys):
     path = write_algebra(tmp_path / "z.json", Algebra.zero(QQ, 2))
     assert main(["check", path, "--identity", "jj", "--field", "prime:abc"]) == 2

@@ -113,6 +113,55 @@ def test_algebra_schema_errors():
         algebra_from_json({**base, "basis": ["a", "a"]})
 
 
+VALID_DOC = {"dim": 2, "field": {"kind": "rational"}, "basis": ["e1", "e2"],
+             "products": [{"i": 0, "j": 0, "coeffs": ["0", "1"]}]}
+
+
+@pytest.mark.parametrize("path, value, what", [
+    (("dim",), "abc", "dim"),
+    (("dim",), "2", "dim"),
+    (("dim",), 2.5, "dim"),
+    (("dim",), 2.0, "dim"),
+    (("dim",), True, "dim"),
+    (("basis",), 5, "basis"),
+    (("basis",), "e1e2", "basis"),
+    (("basis",), None, "basis"),
+    (("products",), 5, "products"),
+    (("products",), {"i": 0}, "products"),
+    (("products", 0, "coeffs"), 5, "coeffs"),
+    (("products", 0, "coeffs"), "01", "coeffs"),
+    (("products", 0, "i"), "a", "'i'"),
+    (("products", 0, "i"), "0", "'i'"),
+    (("products", 0, "j"), 0.0, "'j'"),
+    (("products", 0, "j"), False, "'j'"),
+    (("field", "p"), "x", "'p'"),
+    (("field", "p"), "5", "'p'"),
+    (("field", "p"), None, "'p'"),
+    (("field", "p"), 5.0, "'p'"),
+    (("field", "p"), True, "'p'"),
+])
+def test_algebra_fields_must_have_json_types(path, value, what):
+    doc = json.loads(json.dumps(VALID_DOC))
+    if path[0] == "field":
+        doc["field"] = {"kind": "prime", "p": 5}
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(FormatError, match=what):
+        algebra_from_json(doc)
+
+
+def test_module_dim_must_be_a_json_integer(classes_qq):
+    for parse, doc, _ in module_containers(classes_qq):
+        for bad in ("2", 2.0, True):
+            doc["module_dim"] = bad
+            with pytest.raises(FormatError, match="module_dim"):
+                parse(doc)
+        doc["module_dim"] = 2
+        parse(doc)
+
+
 def test_matrix_round_trip():
     rng = seeded(61)
     m = rand_matrix(rng, GF5, 3)

@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     GF5,
@@ -22,7 +25,17 @@ from mocklie.matched import (
     prejj_bicross_product,
     subadjacent_matched_pair,
 )
-from mocklie.algebra import direct_sum, product
+from mocklie.algebra import (
+    Algebra,
+    direct_sum,
+    left_mult,
+    product,
+    report_from_defects,
+    right_mult,
+)
+from mocklie.classify import algebra_from_tuple
+from mocklie.linalg import vec_add
+from mocklie.matched import _jj_pair_defects, _prejj_pair_defects
 
 
 def vec(field, *coords):
@@ -257,3 +270,168 @@ def test_subadjacent_lift_rejects_failing_pair(f5_prejj_algebras):
             break
     with pytest.raises(PreconditionError):
         subadjacent_matched_pair(mp)
+
+
+# ---------------------------------------------------------------------------
+# witness oracle: the equations in vector form, term by term
+# ---------------------------------------------------------------------------
+
+def _scalar(rng, field):
+    # about two in five zeros, so that skipped terms are exercised too
+    k = rng.randrange(-3, 4)
+    return field.of(k if rng.random() < 0.7 else 0)
+
+
+def _rand_map(rng, field, n):
+    return LinearMap(field, tuple(tuple(_scalar(rng, field) for _ in range(n))
+                                  for _ in range(n)))
+
+
+def _rand_algebra(rng, field, n):
+    return Algebra.from_tensor(field, [[[_scalar(rng, field) for _ in range(n)]
+                                        for _ in range(n)] for _ in range(n)])
+
+
+def _sum(field, *vectors):
+    return functools.reduce(lambda u, v: vec_add(field, u, v), vectors)
+
+
+def _action(maps, v):
+    # the map of the vector v: sum_k v_k maps[k]
+    acc = LinearMap.zeros(maps[0].field, maps[0].rows, maps[0].cols)
+    for vk, m in zip(v, maps):
+        acc = acc.add(m.scale(vk))
+    return acc
+
+
+def _jj_pair_oracle(mp):
+    G, H, rho, mu = mp.G, mp.H, mp.rho, mp.mu
+    f = G.field
+    for i in range(G.dim):
+        for a in range(H.dim):
+            for b in range(a, H.dim):
+                x, ea, eb = G.basis(i), H.basis(a), H.basis(b)
+                yield (i, a, b), _sum(
+                    f,
+                    rho[i].apply(product(H, ea, eb)),
+                    product(H, rho[i].column(a), eb),
+                    product(H, ea, rho[i].column(b)),
+                    _action(rho, mu[a].apply(x)).apply(eb),
+                    _action(rho, mu[b].apply(x)).apply(ea),
+                ), "eqt1"
+    for a in range(H.dim):
+        for i in range(G.dim):
+            for j in range(i, G.dim):
+                ea, x, y = H.basis(a), G.basis(i), G.basis(j)
+                yield (a, i, j), _sum(
+                    f,
+                    mu[a].apply(product(G, x, y)),
+                    product(G, mu[a].column(i), y),
+                    product(G, x, mu[a].column(j)),
+                    _action(mu, rho[i].apply(ea)).apply(y),
+                    _action(mu, rho[j].apply(ea)).apply(x),
+                ), "eqt2"
+
+
+def _prejj_pair_oracle(mp):
+    A, B, la, ra, lb, rb = mp.A, mp.B, mp.la, mp.ra, mp.lb, mp.rb
+    f = A.field
+    for i in range(A.dim):
+        for a in range(B.dim):
+            for b in range(a, B.dim):
+                x, ea, eb = A.basis(i), B.basis(a), B.basis(b)
+                yield (i, a, b), _sum(
+                    f,
+                    ra[i].apply(vec_add(f, product(B, ea, eb), product(B, eb, ea))),
+                    _action(ra, lb[b].apply(x)).apply(ea),
+                    _action(ra, lb[a].apply(x)).apply(eb),
+                    product(B, ea, ra[i].column(b)),
+                    product(B, eb, ra[i].column(a)),
+                ), "eqq1"
+    for i in range(A.dim):
+        for a in range(B.dim):
+            for b in range(B.dim):
+                x, ea, eb = A.basis(i), B.basis(a), B.basis(b)
+                yield (i, a, b), _sum(
+                    f,
+                    la[i].apply(product(B, ea, eb)),
+                    _action(la, vec_add(f, lb[a].apply(x), rb[a].apply(x))).apply(eb),
+                    product(B, vec_add(f, la[i].column(a), ra[i].column(a)), eb),
+                    _action(ra, rb[b].apply(x)).apply(ea),
+                    product(B, ea, la[i].column(b)),
+                ), "eqq2"
+    for a in range(B.dim):
+        for i in range(A.dim):
+            for j in range(i, A.dim):
+                ea, x, y = B.basis(a), A.basis(i), A.basis(j)
+                yield (a, i, j), _sum(
+                    f,
+                    rb[a].apply(vec_add(f, product(A, x, y), product(A, y, x))),
+                    _action(rb, la[j].apply(ea)).apply(x),
+                    _action(rb, la[i].apply(ea)).apply(y),
+                    product(A, x, rb[a].column(j)),
+                    product(A, y, rb[a].column(i)),
+                ), "eqq3"
+    for a in range(B.dim):
+        for i in range(A.dim):
+            for j in range(A.dim):
+                ea, x, y = B.basis(a), A.basis(i), A.basis(j)
+                yield (a, i, j), _sum(
+                    f,
+                    lb[a].apply(product(A, x, y)),
+                    _action(lb, la[i].apply(ea)).apply(y),
+                    _action(lb, ra[i].apply(ea)).apply(y),
+                    product(A, lb[a].column(i), y),
+                    product(A, rb[a].column(i), y),
+                    product(A, x, lb[a].column(j)),
+                    _action(rb, ra[j].apply(ea)).apply(x),
+                ), "eqq4"
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("dims", [(1, 2), (2, 3), (3, 2)])
+def test_pair_witnesses_match_vector_oracle(field, dims):
+    # arbitrary candidates, unfiltered by the preconditions: every witness
+    # of both checkers, in order, against the equations in vector form
+    rng = seeded(40 + dims[0] * 3 + dims[1])
+    big = 10 ** 6
+    tags = set()
+    for _ in range(4):
+        ng, nh = dims
+        g, h = _rand_algebra(rng, field, ng), _rand_algebra(rng, field, nh)
+        jj = JJMatchedPair(g, h, [_rand_map(rng, field, nh) for _ in range(ng)],
+                           [_rand_map(rng, field, ng) for _ in range(nh)])
+        got = report_from_defects("jj", field, _jj_pair_defects(jj), big)
+        want = report_from_defects("jj", field, _jj_pair_oracle(jj), big)
+        assert got.witnesses == want.witnesses
+        tags |= {w.tag for w in got.witnesses}
+        pre = PreJJMatchedPair(
+            g, h,
+            [_rand_map(rng, field, nh) for _ in range(ng)],
+            [_rand_map(rng, field, nh) for _ in range(ng)],
+            [_rand_map(rng, field, ng) for _ in range(nh)],
+            [_rand_map(rng, field, ng) for _ in range(nh)],
+        )
+        got = report_from_defects("pre", field, _prejj_pair_defects(pre), big)
+        want = report_from_defects("pre", field, _prejj_pair_oracle(pre), big)
+        assert got.witnesses == want.witnesses
+        tags |= {w.tag for w in got.witnesses}
+    assert tags == {"eqt1", "eqt2", "eqq1", "eqq2", "eqq3", "eqq4"}
+
+
+VECTORS = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, 4), min_size=n ** 3, max_size=n ** 3),
+    st.lists(st.integers(0, 4), min_size=n, max_size=n),
+    st.lists(st.integers(0, 4), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=VECTORS, field=st.sampled_from([QQ, GF5]))
+def test_multiplication_maps_match_product(data, field):
+    n, constants, x, y = data
+    alg = algebra_from_tuple(field, n, tuple(field.of(k) for k in constants))
+    x, y = tuple(map(field.of, x)), tuple(map(field.of, y))
+    assert left_mult(alg, x).apply(y) == product(alg, x, y)
+    assert right_mult(alg, x).apply(y) == product(alg, y, x)
