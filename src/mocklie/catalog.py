@@ -1,131 +1,78 @@
 """Reference two-dimensional algebras and double-construction tables.
 
-The four catalogued dim-2 multiplication tables (keys ``"zero"``,
-``"e1e1=e2"``, ``"e2e1=e2"``, ``"e2e2=e1"``) are the classes the
-classification section works with.  They are kept verbatim as inputs for the
-checkers and the conformance machinery; note that ``check_identity`` shows
-``"e2e1=e2"`` does not actually satisfy any of the checked identities, and
-the census places ``"e1e1=e2"`` and ``"e2e2=e1"`` in one isomorphism orbit.
-The conformance reports surface such discrepancies instead of resolving them.
-Acceptance criteria 1, 2, 3 and 11 (``tests/test_acceptance.py``) pin this
-finding with hand-derived witnesses and orbit sizes.
+The catalog is the set of JSON documents under ``data/``; this module only
+reads them with the ``formats`` parsers.
 
-Each double-construction case bundles a base algebra, a product on the dual
-basis, and the expected 16-entry multiplication table of the double in the
-source order.  Expected entries are fixtures to diff against, never ground
-truth: the recomputation from the bicrossed-product formula is authoritative.
+The four catalogued dim-2 multiplication tables (keys ``"zero"``,
+``"e1e1=e2"``, ``"e2e1=e2"``, ``"e2e2=e1"``, files ``class_<key>.json`` with
+``=`` written ``_``) are the classes the classification section works with.
+They are kept verbatim as inputs for the checkers and the conformance
+machinery; note that ``check_identity`` shows ``"e2e1=e2"`` does not actually
+satisfy any of the checked identities, and the census places ``"e1e1=e2"``
+and ``"e2e2=e1"`` in one isomorphism orbit.  The conformance reports surface
+such discrepancies instead of resolving them.  Acceptance criteria 1, 2, 3 and
+11 (``tests/test_acceptance.py``) pin this finding with hand-derived witnesses
+and orbit sizes.
+
+Each double-construction case bundles a base class, a product on the dual
+basis (``case_<case>_dual.json``) and the expected 16-entry multiplication
+table of the double in the source order (``case_<case>_table.json``).
+Expected entries are fixtures to diff against, never ground truth: the
+recomputation from the bicrossed-product formula is authoritative.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from .algebra import Algebra
 from .fields import QQ, Field
+from .formats import algebra_from_json, coerce_algebra, table_fixture_from_json
+
+_DATA = Path(__file__).parent / "data"
 
 CLASS_NAMES = ("zero", "e1e1=e2", "e2e1=e2", "e2e2=e1")
 
-# products of each class, as {(i, j): coefficient row}
-_CLASS_PRODUCTS = {
-    "zero": {},
-    "e1e1=e2": {(0, 0): (0, 1)},
-    "e2e1=e2": {(1, 0): (0, 1)},
-    "e2e2=e1": {(1, 1): (1, 0)},
-}
+# the base class of each double-construction case
+_CASE_BASES = {"I": "e1e1=e2", "II": "e2e1=e2", "III": "e2e2=e1"}
+
+CASE_NAMES = tuple(_CASE_BASES)
+
+
+def _document(path: Path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _algebra(name: str, field: Field) -> Algebra:
+    return coerce_algebra(algebra_from_json(_document(_DATA / name)), field)
 
 
 def class_algebra(name: str, field: Field = QQ) -> Algebra:
     """One of the four catalogued dim-2 algebras over the given field."""
-    return Algebra.from_products(field, 2, _CLASS_PRODUCTS[name])
+    if name not in CLASS_NAMES:
+        raise KeyError(name)
+    return _algebra(f"class_{name.replace('=', '_')}.json", field)
 
 
 def class_algebras(field: Field = QQ) -> dict[str, Algebra]:
     return {name: class_algebra(name, field) for name in CLASS_NAMES}
 
 
-# Double-construction cases: base products, dual products, expected table.
-# Table rows are ((i, j), (k, l), expected) for (e_i + e_j*) * (e_k + e_l*),
-# expected in coordinates over (e1, e2, e1*, e2*); indices are 0-based.
-CASE_SPECS = {
-    "I": {
-        "base": "e1e1=e2",
-        "dual_products": {(1, 1): (1, 0)},  # e2* o e2* = e1*
-        "table": (
-            ((0, 0), (0, 0), (0, 1, 0, 0)),
-            ((0, 0), (0, 1), (0, 2, 1, 0)),
-            ((0, 0), (1, 0), (0, 0, 0, 0)),
-            ((0, 0), (1, 1), (0, 1, 1, 0)),
-            ((0, 1), (0, 0), (0, 2, 0, 0)),
-            ((0, 1), (0, 1), (0, 3, 3, 0)),
-            ((1, 0), (0, 0), (0, 1, 0, 0)),
-            ((1, 0), (0, 1), (0, 0, 0, 0)),
-            ((1, 1), (0, 0), (0, 1, 1, 0)),
-            ((1, 1), (0, 1), (0, 1, 2, 0)),
-            ((1, 1), (1, 0), (0, 0, 0, 0)),
-            ((1, 1), (1, 1), (0, 0, 1, 0)),
-            ((0, 1), (1, 0), (0, 0, 0, 0)),
-            ((0, 1), (1, 1), (0, 1, 2, 0)),
-            ((1, 0), (1, 0), (0, 0, 0, 0)),
-            ((1, 0), (1, 1), (0, 0, 0, 0)),
-        ),
-    },
-    "II": {
-        "base": "e2e1=e2",
-        "dual_products": {},  # zero product on the dual basis
-        "table": (
-            ((0, 0), (0, 0), (0, 0, 0, 0)),
-            ((0, 0), (0, 1), (0, 0, 0, 1)),
-            ((0, 0), (1, 0), (0, 0, 0, 0)),
-            ((0, 0), (1, 1), (0, 0, 0, 1)),
-            ((0, 1), (0, 0), (0, 0, 0, 0)),
-            ((0, 1), (0, 1), (0, 0, 0, 1)),
-            ((1, 0), (0, 0), (0, 1, 0, 0)),
-            ((1, 0), (0, 1), (0, 1, 0, 0)),
-            ((1, 1), (0, 0), (0, 1, 0, 0)),
-            ((1, 1), (0, 1), (0, 0, 1, 0)),
-            ((1, 1), (1, 0), (0, 0, 1, 0)),
-            ((1, 1), (1, 1), (0, 0, 1, 0)),
-            ((0, 1), (1, 0), (0, 0, 1, 0)),
-            ((0, 1), (1, 1), (0, 0, 1, 1)),
-            ((1, 0), (1, 0), (0, 0, 0, 0)),
-            ((1, 0), (1, 1), (0, 0, 0, 0)),
-        ),
-    },
-    "III": {
-        "base": "e2e2=e1",
-        "dual_products": {(1, 0): (0, 1)},  # e2* o e1* = e2*
-        "table": (
-            ((0, 0), (0, 0), (0, 0, 0, 0)),
-            ((0, 0), (0, 1), (0, 0, 0, 0)),
-            ((0, 0), (1, 0), (0, 1, 0, 1)),
-            ((0, 0), (1, 1), (0, 1, 0, 1)),
-            ((0, 1), (0, 0), (0, 0, 0, 1)),
-            ((0, 1), (0, 1), (0, 0, 0, 0)),
-            ((1, 0), (0, 0), (0, 0, 0, 1)),
-            ((1, 0), (0, 1), (1, 0, 0, 1)),
-            ((1, 1), (0, 0), (0, 0, 0, 2)),
-            ((1, 1), (0, 1), (1, 0, 0, 0)),
-            ((1, 1), (1, 0), (1, 0, 0, 2)),
-            ((1, 1), (1, 1), (2, 0, 0, 0)),
-            ((0, 1), (1, 0), (0, 0, 0, 1)),
-            ((0, 1), (1, 1), (0, 0, 0, 0)),
-            ((1, 0), (1, 0), (1, 1, 0, 1)),
-            ((1, 0), (1, 1), (2, 1, 0, 2)),
-        ),
-    },
-}
-
-CASE_NAMES = tuple(CASE_SPECS)
-
-DUAL_LABELS = ("e1*", "e2*")
-
-
 def case_inputs(case: str, field: Field = QQ) -> tuple[Algebra, Algebra]:
     """The base algebra and dual-basis algebra of a catalogued case."""
-    spec = CASE_SPECS[case]
-    base = class_algebra(spec["base"], field)
-    dual = Algebra.from_products(field, 2, spec["dual_products"], labels=DUAL_LABELS)
-    return base, dual
+    base = class_algebra(_CASE_BASES[case], field)
+    return base, _algebra(f"case_{case}_dual.json", field)
+
+
+def case_table_path(case: str) -> Path:
+    """The packaged conformance fixture of a catalogued case."""
+    if case not in _CASE_BASES:
+        raise KeyError(case)
+    return _DATA / f"case_{case}_table.json"
 
 
 def case_table(case: str) -> tuple:
     """The catalogued 16-entry expected table of a case, in source order."""
-    return CASE_SPECS[case]["table"]
+    return table_fixture_from_json(_document(case_table_path(case)), QQ)

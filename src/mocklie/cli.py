@@ -143,9 +143,6 @@ def cmd_subadjacent(args):
 
 
 def cmd_semidirect(args):
-    field = _parse_field(args.field)
-    if field is not None:
-        raise CliError("--field is not supported for container files")
     obj = _load_json(args.file)
     if args.jj or isinstance(obj, dict) and "rho" in obj:
         rep = _parse(args.file, rep_from_json, obj)
@@ -182,15 +179,11 @@ def cmd_double(args):
     invariance = check_invariance(double, max_witnesses=args.max_witnesses)
     conformance = None
     if args.conformance:
-        if args.conformance in catalog.CASE_NAMES:
-            table = [
-                (left, right, tuple(primal.field.of(x) for x in expected))
-                for left, right, expected in catalog.case_table(args.conformance)
-            ]
-        else:
-            table = _parse(args.conformance, table_fixture_from_json,
-                           _load_json(args.conformance), primal.field)
-        conformance = _parse(args.conformance, conformance_diff, double, table)
+        path = args.conformance
+        if path in catalog.CASE_NAMES:
+            path = catalog.case_table_path(path)
+        table = _parse(path, table_fixture_from_json, _load_json(path), primal.field)
+        conformance = _parse(path, conformance_diff, double, table)
     _write(args.out, dumps(double_to_json(double, invariance, conformance)))
     return 0 if invariance.passed else 1
 
@@ -259,17 +252,18 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False):
-        p.add_argument("--field", help="reinterpret scalars: 'rational' or 'prime:P'")
-        p.add_argument("--out", required=out_required,
-                       help="output path (stdout when omitted)")
-        p.add_argument("--max-witnesses", type=int, default=16)
+    def common(p, field=True, witnesses=False):
+        if field:
+            p.add_argument("--field", help="reinterpret scalars: 'rational' or 'prime:P'")
+        p.add_argument("--out", help="output path (stdout when omitted)")
+        if witnesses:
+            p.add_argument("--max-witnesses", type=int, default=16)
 
     p = sub.add_parser("check", help="check a defining identity")
     p.add_argument("file")
     p.add_argument("--identity", required=True,
                    help="antiassoc | left-prejj | right-prejj | jj | operad")
-    common(p)
+    common(p, witnesses=True)
     p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("subadjacent", help="anticommutator algebra")
@@ -284,7 +278,7 @@ def build_parser():
                                 "representation container {algebra, rho}")
     p.add_argument("--jj", action="store_true",
                    help="treat the container as a JJ representation")
-    common(p)
+    common(p, field=False)
     p.set_defaults(run=cmd_semidirect)
 
     p = sub.add_parser("double", help="double construction on A + A*")
@@ -294,7 +288,7 @@ def build_parser():
     p.add_argument("--conformance",
                    help="fixture table to diff against: a path, or one of "
                         f"{', '.join(catalog.CASE_NAMES)}")
-    common(p)
+    common(p, witnesses=True)
     p.set_defaults(run=cmd_double)
 
     p = sub.add_parser("classify", help="census of solutions over GF(p)")
@@ -303,7 +297,7 @@ def build_parser():
     p.add_argument("--kind", default="antiassoc")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-scan", type=int, default=10_000_000)
-    common(p)
+    common(p, field=False)
     p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("iso", help="search for a basis change mapping A onto B")

@@ -9,23 +9,32 @@ Algebra files: ``{"dim", "field", "basis", "products"}`` where ``field`` is
 lists ``{"i", "j", "coeffs"}`` rows for the nonzero basis products (0-based
 indices; omitted pairs multiply to zero).  ``dim``, ``i``, ``j``, ``p`` and
 ``module_dim`` must be JSON integers and ``basis``, ``products`` and
-``coeffs`` lists; anything else raises ``FormatError``.
+``coeffs`` lists; anything else raises ``FormatError``, and so does a ``dim``
+above ``MAX_DIM``.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .algebra import Algebra, CheckReport
 from .classify import OrbitCensus
-from .doubles import DoubleConstruction
 from .errors import MockLieError
 from .fields import Field, PrimeField, QQ, RationalField
 from .linalg import LinearMap
 from .matched import PreJJMatchedPair
 from .reps import JJRep, PreJJBimodule
 
+if TYPE_CHECKING:  # doubles imports catalog, which imports this module
+    from .doubles import DoubleConstruction
+
 SCHEMA_VERSION = 1
+
+# The identity checks cost about dim**4 field operations: ``check --identity
+# jj`` on the zero algebra takes about 1 s at dim 32 and 5 s at dim 48 (one
+# core, CPython 3.11), so larger documents are refused.
+MAX_DIM = 32
 
 
 class FormatError(MockLieError):
@@ -101,6 +110,8 @@ def algebra_from_json(obj) -> Algebra:
         field = field_from_json(obj["field"])
     except KeyError as exc:
         raise FormatError(f"algebra document is missing {exc}") from None
+    if dim > MAX_DIM:
+        raise FormatError(f"dim {dim} is above the limit of {MAX_DIM}")
     labels = _list(obj.get("basis", []), "basis") or None
     if labels is not None and len(labels) != dim:
         raise FormatError("basis label count does not match dim")
@@ -147,19 +158,25 @@ def bimodule_to_json(bm: PreJJBimodule) -> dict:
     }
 
 
+def _map_lists(obj, what, keys):
+    """The lists of matrices under ``keys`` of the JSON object ``obj``."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    lists = [obj[key] for key in keys]
+    for key, maps in zip(keys, lists):
+        if not isinstance(maps, list):
+            raise FormatError(f"{key!r} must be a list of matrices")
+    return lists
+
+
 def _module_container(obj, keys):
     """The algebra, module dimension and map lists of a module container.
 
     The module dimension is ``module_dim`` or else the size of the first map
     under ``keys[0]``.
     """
-    if not isinstance(obj, dict):
-        raise FormatError("module container must be a JSON object")
+    lists = _map_lists(obj, "module container", keys)
     alg = algebra_from_json(obj["algebra"])
-    lists = [obj[key] for key in keys]
-    for key, maps in zip(keys, lists):
-        if not isinstance(maps, list):
-            raise FormatError(f"{key!r} must be a list of matrices")
     if obj.get("module_dim") is not None:
         m = _integer(obj["module_dim"], "module_dim")
     elif lists[0] and isinstance(lists[0][0], list):
@@ -208,18 +225,19 @@ def matched_pair_to_json(mp: PreJJMatchedPair) -> dict:
 
 
 def matched_pair_from_json(obj) -> PreJJMatchedPair:
+    la, ra, lb, rb = _map_lists(obj, "matched-pair document", ("lA", "rA", "lB", "rB"))
     a = algebra_from_json(obj["A"])
     b = algebra_from_json(obj["B"])
     f = a.field
 
-    def maps(key, size):
-        return tuple(matrix_from_json(f, rows, size) for rows in obj[key])
+    def maps(lists, size):
+        return tuple(matrix_from_json(f, rows, size) for rows in lists)
 
     try:
         return PreJJMatchedPair(
             a, b,
-            la=maps("lA", b.dim), ra=maps("rA", b.dim),
-            lb=maps("lB", a.dim), rb=maps("rB", a.dim),
+            la=maps(la, b.dim), ra=maps(ra, b.dim),
+            lb=maps(lb, a.dim), rb=maps(rb, a.dim),
         )
     except MockLieError as exc:
         raise FormatError(str(exc)) from None
@@ -318,20 +336,6 @@ def table_fixture_from_json(obj, field: Field):
         expected = tuple(field.parse(str(x)) for x in row["expected"])
         entries.append((left, right, expected))
     return tuple(entries)
-
-
-def table_fixture_to_json(case: str, field: Field, table) -> dict:
-    return {
-        "case": case,
-        "entries": [
-            {
-                "left": list(left),
-                "right": list(right),
-                "expected": [field.render(field.of(x)) for x in expected],
-            }
-            for left, right, expected in table
-        ],
-    }
 
 
 def coerce_algebra(alg: Algebra, field: Field) -> Algebra:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import GF5, brute_force_antiassociative
 from mocklie.algebra import Algebra, passes_identity, sub_adjacent
-from mocklie.catalog import case_inputs, class_algebra
+from mocklie.catalog import case_inputs, case_table_path, class_algebra
 from mocklie.cli import main
 from mocklie.fields import QQ
 from mocklie.formats import (
@@ -104,6 +104,29 @@ def test_semidirect_bimodule_container(tmp_path):
     assert passes_identity(result, "left_pre_jj")
 
 
+@pytest.mark.parametrize("verb, option", [
+    ("subadjacent", "--max-witnesses"),
+    ("semidirect", "--max-witnesses"),
+    ("classify", "--max-witnesses"),
+    ("iso", "--max-witnesses"),
+    ("table", "--max-witnesses"),
+    ("classify", "--field"),
+    ("semidirect", "--field"),
+])
+def test_verb_refuses_options_it_would_ignore(tmp_path, capsys, verb, option):
+    square = class_algebra("e1e1=e2")
+    alg = write_algebra(tmp_path / "a.json", square)
+    container = tmp_path / "bm.json"
+    container.write_text(dumps(bimodule_to_json(PreJJBimodule.regular(square))))
+    operands = {"subadjacent": [alg], "semidirect": [str(container)], "iso": [alg, alg],
+                "table": [alg], "classify": ["--dim", "1", "--prime", "5"]}[verb]
+    value = "prime:5" if option == "--field" else "3"
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *operands, option, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
 def test_semidirect_jj_container(tmp_path):
     g = sub_adjacent(class_algebra("e1e1=e2"))
     rep = JJRep.adjoint(g)
@@ -140,16 +163,27 @@ def test_double_command_with_builtin_conformance(case_one_files, tmp_path):
 
 
 def test_double_command_with_fixture_path(case_one_files, tmp_path):
-    from mocklie.catalog import case_table
-    from mocklie.formats import table_fixture_to_json
-
     table_path = tmp_path / "table.json"
-    table_path.write_text(dumps(table_fixture_to_json("I", QQ, case_table("I"))))
+    table_path.write_bytes(case_table_path("I").read_bytes())
     out = tmp_path / "double.json"
     assert main(["double", *case_one_files, "--conformance", str(table_path),
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["conformance"]) == 16
+
+
+@pytest.mark.parametrize("kind", ["prejj", "jj"])
+@pytest.mark.parametrize("field", [[], ["--field", "prime:5"]])
+def test_double_case_name_reads_the_packaged_fixture(case_one_files, tmp_path, kind,
+                                                     field):
+    runs = []
+    for conformance in ("I", str(case_table_path("I"))):
+        out = tmp_path / f"double-{len(runs)}.json"
+        code = main(["double", *case_one_files, "--conformance", conformance,
+                     "--kind", kind, *field, "--out", str(out)])
+        runs.append((code, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert len(json.loads(runs[0][1])["conformance"]) == 16
 
 
 def test_double_dimension_mismatch(tmp_path, case_one_files):
@@ -292,8 +326,9 @@ def test_check_malformed_scalar_exit_code(tmp_path, capsys, text):
     lambda doc: doc.update(field={"kind": "prime", "p": "x"}),
     lambda doc: doc.update(field={"kind": "prime", "p": None}),
     lambda doc: doc.update(dim=2.5),
+    lambda doc: doc.update(dim=33, basis=[], products=[]),
 ], ids=["dim-abc", "basis-5", "products-5", "coeffs-5", "i-a", "p-x", "p-null",
-        "dim-2.5"])
+        "dim-2.5", "dim-33"])
 def test_check_malformed_algebra_document(tmp_path, capsys, edit):
     doc = algebra_to_json(class_algebra("e1e1=e2"))
     edit(doc)
@@ -301,6 +336,13 @@ def test_check_malformed_algebra_document(tmp_path, capsys, edit):
     path.write_text(dumps(doc))
     assert main(["check", str(path), "--identity", "jj"]) == 2
     assert_one_error_line(capsys, str(path))
+
+
+def test_dim_32_still_loads(tmp_path):
+    path = write_algebra(tmp_path / "z32.json", Algebra.zero(QQ, 32))
+    out = tmp_path / "table.txt"
+    assert main(["table", path, "--out", str(out)]) == 0
+    assert out.read_text().startswith("dim 32 over QQ")
 
 
 def test_check_bad_prime_field_flag(tmp_path, capsys):
@@ -383,10 +425,7 @@ def test_check_accepts_invertible_fraction_over_prime_field(tmp_path):
 
 
 def _fixture_with(change):
-    from mocklie.catalog import case_table
-    from mocklie.formats import table_fixture_to_json
-
-    doc = json.loads(dumps(table_fixture_to_json("I", QQ, case_table("I"))))
+    doc = json.loads(case_table_path("I").read_text())
     change(doc["entries"][0])
     return doc
 

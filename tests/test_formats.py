@@ -39,7 +39,6 @@ from mocklie.formats import (
     rep_to_json,
     report_to_json,
     table_fixture_from_json,
-    table_fixture_to_json,
 )
 from mocklie.reps import JJRep, PreJJBimodule
 from mocklie.algebra import sub_adjacent
@@ -225,6 +224,17 @@ def test_matched_pair_round_trip():
     assert back.lb == mp.lb and back.rb == mp.rb
 
 
+def test_matched_pair_document_must_be_an_object_of_map_lists():
+    doc = matched_pair_to_json(dual_structure_maps(*case_inputs("I", QQ)))
+    for bad in ([1], "lA", 5, None):
+        with pytest.raises(FormatError, match="JSON object"):
+            matched_pair_from_json(bad)
+    for key in ("lA", "rA", "lB", "rB"):
+        for value in (5, None, "abc", {"0": []}):
+            with pytest.raises(FormatError, match="list of matrices"):
+                matched_pair_from_json({**doc, key: value})
+
+
 def test_dumps_is_deterministic(classes_qq):
     doc = algebra_to_json(classes_qq["e2e2=e1"])
     assert dumps(doc) == dumps(json.loads(dumps(doc)))
@@ -258,7 +268,7 @@ def test_double_serialization_has_spec_keys():
 
 
 def test_table_fixture_round_trip():
-    doc = table_fixture_to_json("I", QQ, case_table("I"))
+    doc = json.loads(catalog.case_table_path("I").read_text())
     entries = table_fixture_from_json(json.loads(dumps(doc)), QQ)
     assert len(entries) == 16
     assert entries[0][0] == (0, 0) and entries[0][1] == (0, 0)
@@ -281,20 +291,23 @@ def test_coerce_rejects_bad_denominator():
         coerce_algebra(alg, GF5)
 
 
-def test_catalog_data_files_match_catalog():
+def test_catalog_data_files_are_canonical():
+    # the packaged documents are the catalog: exactly these ten files, each
+    # byte-equal to what the writers make of the value the catalog reads
     data = Path(mocklie.__file__).parent / "data"
     expected = {
         f"class_{name.replace('=', '_')}.json": algebra_to_json(catalog.class_algebra(name))
         for name in catalog.CLASS_NAMES
     }
     for case in catalog.CASE_NAMES:
-        base, dual = catalog.case_inputs(case)
-        expected[f"case_{case}_A.json"] = algebra_to_json(base)
-        expected[f"case_{case}_dual.json"] = algebra_to_json(dual)
-        expected[f"case_{case}_table.json"] = table_fixture_to_json(
-            case, QQ, catalog.case_table(case))
+        expected[f"case_{case}_dual.json"] = algebra_to_json(catalog.case_inputs(case)[1])
+        expected[f"case_{case}_table.json"] = {"case": case, "entries": [
+            {"left": list(left), "right": list(right),
+             "expected": [QQ.render(x) for x in vec]}
+            for left, right, vec in catalog.case_table(case)
+        ]}
     assert sorted(path.name for path in data.glob("*.json")) == sorted(expected)
-    assert len(expected) == 13
+    assert len(expected) == 10
     for name, doc in expected.items():
         assert (data / name).read_bytes() == dumps(doc).encode(), name
 
