@@ -4,7 +4,7 @@ Finite-dimensional algebras are given by structure-constant tensors over the
 rationals or a prime field.  The package checks the defining identities,
 builds sub-adjacent algebras, representations, bimodules, matched pairs and
 symmetric double constructions, and classifies low-dimensional instances by
-exhaustive search over finite fields.
+solving their defining equations over finite fields.
 """
 
 from .algebra import (

@@ -66,9 +66,9 @@ class CheckReport:
     """Verdict of an identity check plus bounded violation witnesses.
 
     ``passed`` is true exactly when no basis tuple violates the identity;
-    ``witnesses`` lists at most ``max_witnesses`` violations, lexicographic
-    within each condition family, and ``truncated`` records whether more
-    existed.
+    ``witnesses`` lists at most ``max(1, max_witnesses)`` violations,
+    lexicographic within each condition family, and ``truncated`` records
+    whether more existed.
     """
 
     identity_name: str
@@ -269,7 +269,11 @@ def report_from_defects(name, field, defect_iter, max_witnesses=DEFAULT_MAX_WITN
 
 def check_identity(alg: Algebra, kind: str,
                    max_witnesses: int = DEFAULT_MAX_WITNESSES) -> CheckReport:
-    """Check one of the defining identities on all basis tuples."""
+    """Check one of the defining identities on all basis tuples.
+
+    At most ``max_witnesses`` violations are listed, but a cap below 1 is
+    raised to 1, so a failing report always carries one.
+    """
     return report_from_defects(kind, alg.field, _defects(alg, kind), max_witnesses)
 
 

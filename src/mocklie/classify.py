@@ -1,4 +1,4 @@
-"""Exhaustive enumeration and isomorphism reduction over prime fields.
+"""Censuses and isomorphism search by solving polynomial equations.
 
 Structure constants of a dim-n algebra are flattened to length-n^3 tuples in
 lexicographic (i, j, k) order; for n = 2 the order is (a1, a2, b1, b2, c1, c2,
@@ -6,10 +6,12 @@ d1, d2) matching e1e1 = a1 e1 + a2 e2, e1e2 = b1 e1 + b2 e2, e2e1 = ...,
 e2e2 = ....  The equations of each identity kind come from its defect
 generator in ``algebra``, the same code ``check_identity`` runs: run over
 an algebra whose constants are variables, it yields integer equations,
-linear or quadratic in the flat constants.  Enumeration over GF(p) solves
-them depth-first, fixing the constants one by one in lexicographic order
-and checking each equation as soon as its highest constant is fixed, so
-whole subtrees of the p^(n^3) tuples are cut at once.
+linear or quadratic in the flat constants.  The equations of an
+isomorphism, in the entries of its matrix, come the same way from
+``algebra.product``.  One depth-first solver serves both: it fixes the
+variables one by one in index order and checks each equation as soon as
+its highest variable is fixed, so whole subtrees of the search space are
+cut at once.
 
 Orbits are computed without listing GL_n(F_p): each unassigned solution is
 expanded under a generating set of the group (the transvections I + E_ij
@@ -23,7 +25,6 @@ counts.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .algebra import (Algebra, IDENTITY_KINDS, _DEFECT_GENERATORS,
-                      default_labels, passes_identity, product)
+                      default_labels, product)
 from .errors import FieldError, MockLieError, ShapeError
-from .fields import PrimeField, RationalField, characteristic_warnings
+from .fields import PrimeField, characteristic_warnings
 from .linalg import LinearMap, combination
 
 DEFAULT_MAX_SCAN = 10_000_000
@@ -88,15 +89,17 @@ def tuple_from_algebra(alg: Algebra) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# identity equations over flat indices, and the depth-first solver
+# polynomial equations and the depth-first solver
 # ---------------------------------------------------------------------------
 
 class _Polynomials:
-    """Integer polynomials in the flat constants, as {monomial: coefficient}.
+    """Polynomials in indexed variables, as {monomial: coefficient}.
 
-    A monomial is a sorted tuple of variable indices.  This is the part of
-    the field interface the defect generators use, so running a generator
-    over an algebra whose constants are variables yields its equations.
+    A monomial is a sorted tuple of variable indices; coefficients are
+    integers, or rationals for the equations of an isomorphism over QQ.
+    This is the part of the field interface that the defect generators,
+    ``product`` and ``combination`` use, so running them over variables
+    yields equations.
     """
 
     zero = {}
@@ -122,104 +125,104 @@ class _Polynomials:
         return out
 
 
-@lru_cache(maxsize=None)
-def _equations(n: int, p: int, kind: str) -> tuple:
-    """The identity ``kind`` as integer equations over flat indices.
+def _compile(polys, size: int, modulus: int) -> tuple:
+    """The equations ``poly == 0`` over x_0 .. x_{size-1}, filed and split.
 
-    The equations are the coordinates of the kind's defect generator run
-    over an algebra whose constants are the variables x_0 .. x_{n^3-1}.  An
-    equation is a tuple of terms (coefficient, u, w) meaning
-    coefficient * x_u * x_w; index n^3 stands for the constant 1, so linear
-    terms take the same form.  Coefficients are reduced mod p and equations
-    that vanish identically are dropped.  Entry d of the result holds the
-    equations whose highest variable is x_d.
+    Each polynomial is linear or quadratic.  Coefficients are reduced mod
+    ``modulus``, or kept exact when it is 0, and polynomials that vanish
+    identically are dropped.  Entry d of the result holds, for each equation
+    whose highest variable is x_d, a triple (a, linear, free) standing for
+    a * x_d^2 + b * x_d + k, where b = sum of c * x_u over the pairs (c, u)
+    in ``linear`` and k = sum of c * x_u * x_w over the terms (c, u, w) in
+    ``free``.  Index ``size`` stands for the constant 1, so b and k involve
+    only x_0 .. x_{d-1} and the constant.
     """
-    one = n ** 3
-    tensor = tuple(
-        tuple(tuple({((i * n + j) * n + k,): 1} for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    alg = Algebra(_Polynomials, default_labels(n), tensor)
+    one = size
     equations = set()
-    for _, defect in _DEFECT_GENERATORS[kind](alg):
-        for poly in defect:
-            terms = sorted(((mono + (one,))[:2], c % p) for mono, c in poly.items())
-            eq = tuple((c, u, w) for (u, w), c in terms if c)
-            if eq:
-                equations.add(eq)
-    by_highest = [[] for _ in range(one)]
+    for poly in polys:
+        terms = sorted(((mono + (one,))[:2], c % modulus if modulus else c)
+                       for mono, c in poly.items())
+        eq = tuple((c, u, w) for (u, w), c in terms if c)
+        if eq:
+            equations.add(eq)
+    split = [[] for _ in range(size)]
     for eq in sorted(equations):
-        by_highest[max(w if w != one else u for _, u, w in eq)].append(eq)
-    return tuple(tuple(eqs) for eqs in by_highest)
+        d = max(w if w != one else u for _, u, w in eq)
+        a, linear, free = 0, [], []
+        for c, u, w in eq:
+            if u == w == d:
+                a = c
+            elif w == d:
+                linear.append((c, u))
+            elif u == d:
+                linear.append((c, w))
+            else:
+                free.append((c, u, w))
+        split[d].append((a, tuple(linear), tuple(free)))
+    return tuple(map(tuple, split))
 
 
-def _holds(equations, vals, p) -> bool:
-    return all(
-        sum(c * vals[u] * vals[w] for c, u, w in eq) % p == 0 for eq in equations
-    )
+def _solve(equations, domains, modulus: int, stats: dict):
+    """Lazily, every assignment of x_d from ``domains[d]`` solving ``equations``.
 
-
-@lru_cache(maxsize=None)
-def _split_equations(n: int, p: int, kind: str) -> tuple:
-    """``_equations`` with each equation written as a polynomial in x_d.
-
-    Entry d holds, for each equation filed under x_d, a triple
-    (a, linear, free) standing for a * x_d^2 + b * x_d + k, where
-    b = sum of c * x_u over the pairs (c, u) in ``linear`` (u = n^3 being the
-    constant 1) and k = sum of c * x_u * x_w over the terms in ``free``; b and
-    k involve only x_0 .. x_{d-1}.
+    ``equations`` is as ``_compile`` returns it.  The variables are fixed
+    depth-first in index order, each domain's values in their given order,
+    so ascending domains yield the solutions in lexicographic order.  On
+    entering depth d each equation filed under x_d is evaluated once on the
+    fixed prefix, leaving a * v^2 + b * v + k to test per candidate value v,
+    by ``% modulus == 0``, or by ``== 0`` when the modulus is 0; the values
+    that pass one equation go on to the next.  ``stats["visited"]`` grows by
+    each entered depth's domain size, counted before filtering.
     """
-    split = []
-    for d, eqs in enumerate(_equations(n, p, kind)):
-        parts = []
-        for eq in eqs:
-            a, linear, free = 0, [], []
-            for c, u, w in eq:
-                if u == w == d:
-                    a = c
-                elif w == d:
-                    linear.append((c, u))
-                elif u == d:
-                    linear.append((c, w))
-                else:
-                    free.append((c, u, w))
-            parts.append((a, tuple(linear), tuple(free)))
-        split.append(tuple(parts))
-    return tuple(split)
-
-
-def _solve_subtree(p: int, n: int, kind: str, first: int) -> tuple[list, int]:
-    """Solutions starting with ``first``, in lex order, and the number of
-    (variable, value) assignments tried.
-
-    On entering depth d each equation filed under x_d is evaluated once on
-    the fixed prefix, leaving a * v^2 + b * v + k to test per candidate
-    value v; the candidates that pass one equation go on to the next.
-    """
-    split = _split_equations(n, p, kind)
-    last = n ** 3 - 1
+    last = len(domains) - 1
     vals = [0] * (last + 1) + [1]
-    out = []
-    visited = 0
 
-    def descend(d, values):
-        nonlocal visited
-        visited += len(values)
-        for a, linear, free in split[d]:
-            b = sum([c * vals[u] for c, u in linear]) % p
-            k = sum([c * vals[u] * vals[w] for c, u, w in free]) % p
-            values = [v for v in values if (a * v * v + b * v + k) % p == 0]
+    def descend(d):
+        values = domains[d]
+        stats["visited"] += len(values)
+        for a, linear, free in equations[d]:
+            b = sum([c * vals[u] for c, u in linear])
+            k = sum([c * vals[u] * vals[w] for c, u, w in free])
+            if modulus:
+                values = [v for v in values if (a * v * v + b * v + k) % modulus == 0]
+            else:
+                values = [v for v in values if a * v * v + b * v + k == 0]
             if not values:
                 return
         for v in values:
             vals[d] = v
             if d < last:
-                descend(d + 1, range(p))
+                yield from descend(d + 1)
             else:
-                out.append(tuple(vals[:-1]))
+                yield tuple(vals[:-1])
 
-    descend(0, (first,))
-    return out, visited
+    return descend(0)
+
+
+@lru_cache(maxsize=None)
+def _equations(n: int, p: int, kind: str) -> tuple:
+    """The identity ``kind`` over GF(p), compiled for ``_solve``.
+
+    The equations are the coordinates of the kind's defect generator run
+    over an algebra whose constants are the variables x_0 .. x_{n^3-1}.
+    """
+    tensor = tuple(
+        tuple(tuple({((i * n + j) * n + k,): 1} for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    alg = Algebra(_Polynomials, default_labels(n), tensor)
+    return _compile((poly for _, defect in _DEFECT_GENERATORS[kind](alg)
+                     for poly in defect), n ** 3, p)
+
+
+def _solve_subtree(p: int, n: int, kind: str, firsts) -> tuple[list, int]:
+    """Solutions of ``kind`` whose first constant is in ``firsts``, in lex
+    order, and the number of (variable, value) assignments tried: one census
+    task, defined at module level so worker processes can run it."""
+    stats = {"visited": 0}
+    domains = [firsts] + [range(p)] * (n ** 3 - 1)
+    solutions = list(_solve(_equations(n, p, kind), domains, p, stats))
+    return solutions, stats["visited"]
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -229,35 +232,21 @@ def pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
-def enumerate_solutions(dim: int, field, kind: str, candidates=None,
+def enumerate_solutions(dim: int, field, kind: str,
                         max_scan: int = DEFAULT_MAX_SCAN, workers: int = 1,
                         stats: dict | None = None) -> list[ConstantTuple]:
     """All structure-constant tuples of dimension ``dim`` passing ``kind``.
 
-    Over a prime field the identity's equations are solved depth-first,
-    fixing the constants in lexicographic order with ascending values and
-    checking each equation once its highest variable is fixed; solutions
+    The identity's equations are solved over GF(p) by ``_solve``, fixing
+    the constants in lexicographic order with ascending values; solutions
     come out in lexicographic order.  ``max_scan`` bounds the search space
     p^(dim^3).  Up to ``workers`` processes share the subtrees of the first
     constant; a ``stats`` dict receives ``visited``, the assignments tried.
-    Given ``candidates``, only those are verified (the only mode over QQ).
     """
     if kind not in IDENTITY_KINDS:
         raise FieldError(f"unknown identity kind {kind!r}")
-    if not isinstance(field, (PrimeField, RationalField)):
-        raise FieldError(f"unsupported field {field!r}")
-    if candidates is not None:
-        tuples = [ConstantTuple(dim, tuple(map(field.of, c))) for c in candidates]
-        if isinstance(field, RationalField):
-            return [c for c in tuples if passes_identity(
-                algebra_from_tuple(field, dim, c.entries), kind)]
-        equations = [eq for eqs in _equations(dim, field.p, kind) for eq in eqs]
-        return [c for c in tuples if _holds(equations, c.entries + (1,), field.p)]
-    if isinstance(field, RationalField):
-        raise FieldError(
-            "exhaustive enumeration needs a prime field; over the "
-            "rationals supply candidate tuples to verify"
-        )
+    if not isinstance(field, PrimeField):
+        raise FieldError(f"enumeration needs a prime field, got {field!r}")
     p = field.p
     size = pool_size(workers, p)
     count = p ** (dim ** 3)
@@ -266,13 +255,12 @@ def enumerate_solutions(dim: int, field, kind: str, candidates=None,
             f"scan of {count} tuples exceeds the limit of {max_scan}; "
             f"raise max_scan to force it"
         )
-    firsts = range(p)
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
             subtrees = list(pool.map(_solve_subtree, [p] * p, [dim] * p,
-                                     [kind] * p, firsts))
+                                     [kind] * p, [(v,) for v in range(p)]))
     else:
-        subtrees = [_solve_subtree(p, dim, kind, v) for v in firsts]
+        subtrees = [_solve_subtree(p, dim, kind, range(p))]
     if stats is not None:
         stats["visited"] = sum(visited for _, visited in subtrees)
     return [ConstantTuple(dim, c) for sols, _ in subtrees for c in sols]
@@ -287,19 +275,6 @@ def _inverse(flat_p: tuple, n: int, p: int) -> tuple:
     rows = tuple(flat_p[r * n:(r + 1) * n] for r in range(n))
     inverse = LinearMap(PrimeField(p), rows).inverse()
     return tuple(x for row in inverse.entries for x in row)
-
-
-@lru_cache(maxsize=None)
-def gl_matrices(p: int, n: int) -> tuple:
-    """All invertible n x n matrices over GF(p), as flat row-major tuples."""
-    group = []
-    for flat in itertools.product(range(p), repeat=n * n):
-        try:
-            _inverse(flat, n, p)
-        except ShapeError:
-            continue
-        group.append(flat)
-    return tuple(group)
 
 
 def gl_order(p: int, n: int) -> int:
@@ -366,15 +341,16 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
                      max_scan: int = DEFAULT_MAX_SCAN) -> LinearMap | None:
     """Search for an invertible P with apply_basis_change(a, P) == b.
 
-    The candidates are the n x n matrices over GF(p), or over the rationals
-    the integer matrices with entries in [-bound, bound], scanned in
-    ``itertools.product`` order of their row-major entries.  P qualifies
-    when (P e_i)(P e_j) = P (e_i e_j) for all i, j, the left side a product
-    in ``a`` and the right one in ``b``: pairs are tested in order up to the
-    first that fails, and only a matrix passing them all is tested for
-    invertibility.  ``FieldError`` is raised for a negative ``bound`` and
-    before scanning more than ``max_scan`` matrices.  Returns the first
-    invertible match, or None when the scan is exhausted.
+    P qualifies when (P e_i)(P e_j) = P (e_i e_j) for all i, j, the left
+    side a product in ``a`` and the right one in ``b``.  These equations in
+    the n^2 row-major entries of P are compiled like the identities and
+    solved by ``_solve``, the entries ranging over GF(p), or over the
+    rationals over the integers in [-bound, bound].  The solutions come in
+    ``itertools.product`` order of the entries, and the first invertible
+    one is returned: the first invertible match a scan of all those
+    matrices would find.  None means there is no such matrix.
+    ``FieldError`` is raised for a negative ``bound`` and when the matrices
+    to search number more than ``max_scan``.
     """
     if a.field != b.field:
         raise FieldError("isomorphism search needs a common field")
@@ -389,16 +365,26 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
         raise FieldError(
             f"scan over {len(entries) ** (n * n)} matrices exceeds {max_scan}"
         )
-    for flat in itertools.product([f.of(x) for x in entries], repeat=n * n):
-        rows = tuple(flat[r * n:(r + 1) * n] for r in range(n))
-        cols = tuple(zip(*rows))
-        # (P e_i)(P e_j) in a against P (e_i e_j), which combines columns of P
-        if all(product(a, cols[i], cols[j])
-               == combination(f, n, ((b.c[i][j], cols),))
-               for i in range(n) for j in range(n)):
-            mat = LinearMap(f, rows)
-            if mat.is_invertible():
-                return mat
+
+    def constants(vec):
+        return tuple({(): x} if x != f.zero else {} for x in vec)
+
+    # column i of P is P e_i; its entry in row r is the variable x_{rn+i}
+    cols = tuple(tuple({(r * n + i,): 1} for r in range(n)) for i in range(n))
+    poly_a = Algebra(_Polynomials, a.labels,
+                     tuple(tuple(map(constants, row)) for row in a.c))
+    polys = []
+    for i in range(n):
+        for j in range(n):
+            image = combination(_Polynomials, n, ((constants(b.c[i][j]), cols),))
+            polys += map(_Polynomials.sub, product(poly_a, cols[i], cols[j]), image)
+    equations = _compile(polys, n * n, f.characteristic)
+    for flat in _solve(equations, [entries] * (n * n), f.characteristic,
+                       {"visited": 0}):
+        mat = LinearMap(f, tuple(tuple(map(f.of, flat[r * n:(r + 1) * n]))
+                                 for r in range(n)))
+        if mat.is_invertible():
+            return mat
     return None
 
 

@@ -14,7 +14,7 @@ import sys
 
 from . import catalog
 from .algebra import check_identity, sub_adjacent
-from .classify import classify
+from .classify import DEFAULT_MAX_SCAN, classify
 from .doubles import (
     assemble_jj_double,
     assemble_prejj_double,
@@ -118,13 +118,21 @@ def _report_doc(command, args_echo, payload):
     return doc
 
 
+def _witness_cap(args):
+    # a failing report always carries a witness, so a cap below 1 is refused
+    if args.max_witnesses < 1:
+        raise CliError(f"--max-witnesses must be at least 1, got {args.max_witnesses}")
+    return args.max_witnesses
+
+
 def cmd_check(args):
+    cap = _witness_cap(args)
     kind = IDENTITY_ALIASES.get(args.identity)
     if kind is None:
         raise CliError(f"unknown identity {args.identity!r}")
     field = _parse_field(args.field)
     alg = _load_algebra(args.file, field)
-    report = check_identity(alg, kind, max_witnesses=args.max_witnesses)
+    report = check_identity(alg, kind, max_witnesses=cap)
     doc = _report_doc(
         "check",
         {"file": args.file, "identity": kind},
@@ -165,6 +173,7 @@ def cmd_semidirect(args):
 
 
 def cmd_double(args):
+    cap = _witness_cap(args)
     field = _parse_field(args.field)
     primal = _load_algebra(args.file_a, field)
     dual = _load_algebra(args.file_astar, field)
@@ -176,7 +185,7 @@ def cmd_double(args):
         double = assemble_jj_double(primal, dual)
     else:
         double = assemble_prejj_double(primal, dual)
-    invariance = check_invariance(double, max_witnesses=args.max_witnesses)
+    invariance = check_invariance(double, max_witnesses=cap)
     conformance = None
     if args.conformance:
         path = args.conformance
@@ -296,7 +305,7 @@ def build_parser():
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--kind", default="antiassoc")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-scan", type=int, default=10_000_000)
+    p.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN)
     common(p, field=False)
     p.set_defaults(run=cmd_classify)
 
@@ -304,7 +313,8 @@ def build_parser():
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--bound", type=int, default=2,
-                   help="entry bound for the rational integer-matrix scan")
+                   help="entry bound for the integer matrices searched over "
+                        "the rationals")
     common(p)
     p.set_defaults(run=cmd_iso)
 

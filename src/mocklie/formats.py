@@ -23,7 +23,6 @@ from .classify import OrbitCensus
 from .errors import MockLieError
 from .fields import Field, PrimeField, QQ, RationalField
 from .linalg import LinearMap
-from .matched import PreJJMatchedPair
 from .reps import JJRep, PreJJBimodule
 
 if TYPE_CHECKING:  # doubles imports catalog, which imports this module
@@ -158,10 +157,10 @@ def bimodule_to_json(bm: PreJJBimodule) -> dict:
     }
 
 
-def _map_lists(obj, what, keys):
+def _map_lists(obj, keys):
     """The lists of matrices under ``keys`` of the JSON object ``obj``."""
     if not isinstance(obj, dict):
-        raise FormatError(f"{what} must be a JSON object")
+        raise FormatError("module container must be a JSON object")
     lists = [obj[key] for key in keys]
     for key, maps in zip(keys, lists):
         if not isinstance(maps, list):
@@ -175,7 +174,7 @@ def _module_container(obj, keys):
     The module dimension is ``module_dim`` or else the size of the first map
     under ``keys[0]``.
     """
-    lists = _map_lists(obj, "module container", keys)
+    lists = _map_lists(obj, keys)
     alg = algebra_from_json(obj["algebra"])
     if obj.get("module_dim") is not None:
         m = _integer(obj["module_dim"], "module_dim")
@@ -209,36 +208,6 @@ def rep_from_json(obj) -> JJRep:
     maps = tuple(matrix_from_json(alg.field, rows, m) for rows in rho)
     try:
         return JJRep(alg, maps)
-    except MockLieError as exc:
-        raise FormatError(str(exc)) from None
-
-
-def matched_pair_to_json(mp: PreJJMatchedPair) -> dict:
-    return {
-        "A": algebra_to_json(mp.A),
-        "B": algebra_to_json(mp.B),
-        "lA": [matrix_to_json(m) for m in mp.la],
-        "rA": [matrix_to_json(m) for m in mp.ra],
-        "lB": [matrix_to_json(m) for m in mp.lb],
-        "rB": [matrix_to_json(m) for m in mp.rb],
-    }
-
-
-def matched_pair_from_json(obj) -> PreJJMatchedPair:
-    la, ra, lb, rb = _map_lists(obj, "matched-pair document", ("lA", "rA", "lB", "rB"))
-    a = algebra_from_json(obj["A"])
-    b = algebra_from_json(obj["B"])
-    f = a.field
-
-    def maps(lists, size):
-        return tuple(matrix_from_json(f, rows, size) for rows in lists)
-
-    try:
-        return PreJJMatchedPair(
-            a, b,
-            la=maps(la, b.dim), ra=maps(ra, b.dim),
-            lb=maps(lb, a.dim), rb=maps(rb, a.dim),
-        )
     except MockLieError as exc:
         raise FormatError(str(exc)) from None
 

@@ -1,5 +1,6 @@
 """Shared fixtures: reference algebras, censuses, random generators."""
 
+import functools
 import itertools
 import random
 
@@ -131,6 +132,32 @@ def brute_force_antiassociative(p):
         if ok:
             sols.append(c)
     return sols
+
+
+@functools.lru_cache(maxsize=None)
+def gl_matrices(p, n):
+    """GL oracle: all invertible n x n matrices over GF(p), as flat row-major
+    tuples in ``itertools.product`` order.
+
+    A matrix is kept when its Leibniz determinant is nonzero mod p; no
+    library elimination is involved.
+    """
+    signed = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        signed.append(((-1) ** inversions, [r * n + perm[r] for r in range(n)]))
+
+    def det(flat):
+        total = 0
+        for sign, cells in signed:
+            term = sign
+            for cell in cells:
+                term *= flat[cell]
+            total += term
+        return total % p
+
+    return tuple(flat for flat in itertools.product(range(p), repeat=n * n)
+                 if det(flat))
 
 
 def seeded(n=0):

@@ -24,6 +24,7 @@ import pytest
 from conftest import (
     GF5,
     brute_force_antiassociative,
+    gl_matrices,
     outcome,
     random_candidate_bimodule,
     random_valid_bimodule,
@@ -47,6 +48,7 @@ from mocklie.classify import (
     algebra_from_tuple,
     classify,
     enumerate_solutions,
+    transport_tuple,
     tuple_from_algebra,
 )
 from mocklie.doubles import (
@@ -450,8 +452,6 @@ def test_criterion_11_classification():
     oracle = set(brute_force_antiassociative(2))
     census2 = classify(2, prime_field(2), "antiassociative")
     members2 = set()
-    from mocklie.classify import gl_matrices, transport_tuple
-
     for orbit in census2.orbits:
         members2 |= {
             transport_tuple(orbit.representative, flat, 2, 2)

@@ -4,19 +4,19 @@ import os
 
 import pytest
 
-from conftest import GF2, GF3, GF5, brute_force_antiassociative, seeded
-from mocklie.algebra import IDENTITY_KINDS, check_identity, passes_identity
+from conftest import (GF2, GF3, GF5, brute_force_antiassociative, gl_matrices,
+                      rand_invertible, seeded)
+from mocklie.algebra import (IDENTITY_KINDS, _DEFECT_GENERATORS, check_identity,
+                             passes_identity)
 from mocklie.catalog import class_algebras
 from mocklie.classify import (
     ConstantTuple,
     _equations,
     _gl_generators,
-    _split_equations,
     algebra_from_tuple,
     classify,
     enumerate_solutions,
     find_isomorphism,
-    gl_matrices,
     gl_order,
     pool_size,
     transport_tuple,
@@ -80,12 +80,21 @@ def test_enumeration_matches_defect_generators(dim, p):
         assert len(lib) == count
 
 
+def evaluate(equations, c, p):
+    """The values mod p of the compiled equations on the flat tuple ``c``."""
+    vals = tuple(c) + (1,)
+    return [
+        (a * vals[d] ** 2 + sum(k * vals[u] for k, u in linear) * vals[d]
+         + sum(k * vals[u] * vals[w] for k, u, w in free)) % p
+        for d, eqs in enumerate(equations) for a, linear, free in eqs
+    ]
+
+
 def test_prime_field_candidates_match_defect_generators(classes_f5):
     names = ("zero", "e1e1=e2", "e2e1=e2", "e2e2=e1")
     cands = [tuple_from_algebra(classes_f5[name]) for name in names]
     for kind in IDENTITY_KINDS:
-        verified = [c.entries for c in
-                    enumerate_solutions(2, GF5, kind, candidates=cands)]
+        verified = [c for c in cands if not any(evaluate(_equations(2, 5, kind), c, 5))]
         assert verified == [c for c in cands if passes_identity(
             algebra_from_tuple(GF5, 2, c), kind)]
         # e2e1=e2 fails every kind (see acceptance criteria 1 and 2)
@@ -131,15 +140,6 @@ def test_every_antiassociative_solution_passes_prejj_checks(f5_anti_solutions):
         alg = algebra_from_tuple(GF5, 2, entries)
         for kind in ("left_pre_jj", "right_pre_jj", "operad"):
             assert check_identity(alg, kind).passed
-
-
-def test_rational_mode_verifies_candidates():
-    out = enumerate_solutions(
-        2, QQ, "antiassociative",
-        candidates=[ZERO8, SQUARE_TUPLE, THIRD_TUPLE, CUBE_TUPLE],
-    )
-    verified = [tuple(int(x) for x in c.entries) for c in out]
-    assert verified == [ZERO8, SQUARE_TUPLE, CUBE_TUPLE]
 
 
 def test_rational_mode_requires_candidates():
@@ -390,10 +390,20 @@ def expand_identity(n, p, kind):
     return by_highest
 
 
+def term_form(d, a, linear, free):
+    """A compiled equation filed under x_d as terms (c, u, w), u <= w,
+    sorted by (u, w)."""
+    terms = [(c, min(u, d), max(u, d)) for c, u in linear] + list(free)
+    if a:
+        terms.append((a, d, d))
+    return tuple(sorted(terms, key=lambda term: term[1:]))
+
+
 @pytest.mark.parametrize("n, p", [(1, 5), (2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
 def test_equations_match_expanded_identity_strings(n, p):
     for kind in IDENTITY_KINDS:
-        compiled = [{_monic(eq, p) for eq in eqs} for eqs in _equations(n, p, kind)]
+        compiled = [{_monic(term_form(d, *eq), p) for eq in eqs}
+                    for d, eqs in enumerate(_equations(n, p, kind))]
         assert compiled == expand_identity(n, p, kind), kind
 
 
@@ -462,22 +472,23 @@ def test_orbit_escape_is_detected(monkeypatch):
 
 @pytest.mark.parametrize("n, p", [(1, 5), (2, 3), (2, 5), (3, 2)])
 def test_split_equations_evaluate_like_the_equations(n, p):
+    # an equation filed under x_d is split in x_d, so its other variables
+    # are fixed before it is tested; on any tuple the equations take the
+    # values of the coordinates of the kind's defects, evaluated over GF(p)
     rng = seeded(7)
     one = n ** 3
+    field = prime_field(p)
     for kind in IDENTITY_KINDS:
-        for d, (eqs, parts) in enumerate(zip(_equations(n, p, kind),
-                                             _split_equations(n, p, kind))):
-            assert len(eqs) == len(parts)
-            for _ in range(5):
-                vals = [rng.randrange(p) for _ in range(one)] + [1]
-                v = vals[d]
-                for eq, (a, linear, free) in zip(eqs, parts):
-                    b = sum(c * vals[u] for c, u in linear)
-                    k = sum(c * vals[u] * vals[w] for c, u, w in free)
-                    assert all(u < d or u == one for _, u in linear)
-                    assert all(w < d or w == one for _, _, w in free)
-                    full = sum(c * vals[u] * vals[w] for c, u, w in eq)
-                    assert (a * v * v + b * v + k - full) % p == 0
+        equations = _equations(n, p, kind)
+        for d, eqs in enumerate(equations):
+            for a, linear, free in eqs:
+                assert all(u < d or u == one for _, u in linear)
+                assert all(u < d and (w < d or w == one) for _, u, w in free)
+        for _ in range(5):
+            c = tuple(rng.randrange(p) for _ in range(one))
+            alg = algebra_from_tuple(field, n, c)
+            defects = {x for _, defect in _DEFECT_GENERATORS[kind](alg) for x in defect}
+            assert set(evaluate(equations, c, p)) | {0} == defects | {0}
 
 
 def test_rational_isomorphism_scan_is_guarded(classes_qq):
@@ -514,12 +525,18 @@ def _listed_scan(a, b, bound):
     return None
 
 
-@pytest.mark.parametrize("field, bound", [(GF2, 2), (GF3, 2), (GF5, 2),
-                                          (QQ, 1), (QQ, 2)],
-                         ids=["GF2", "GF3", "GF5", "QQ-bound1", "QQ-bound2"])
-def test_isomorphism_scan_matches_listed_scan(field, bound):
+def iso_pairs(field, dim):
+    """Algebra pairs to search isomorphisms between, isomorphic or not."""
     from mocklie.algebra import Algebra, apply_basis_change
 
+    if dim == 3:
+        # e1e1 = e2e2 = e3 against a random transport of itself, and
+        # against e1e1 = e3, whose product has rank 1, not 2
+        squares = Algebra.from_products(field, 3, {(0, 0): (0, 0, 1),
+                                                   (1, 1): (0, 0, 1)})
+        square = Algebra.from_products(field, 3, {(0, 0): (0, 0, 1)})
+        moved = apply_basis_change(squares, rand_invertible(seeded(11), field, 3))
+        return [(squares, moved), (squares, square)]
     classes = class_algebras(field)
     shear = LinearMap.from_rows(field, [[1, 1], [0, 1]])
     swap_shear = LinearMap.from_rows(field, [[0, 1], [1, 1]])
@@ -531,8 +548,17 @@ def test_isomorphism_scan_matches_listed_scan(field, bound):
         mixed,
         apply_basis_change(mixed, swap_shear),
     ]
+    return list(itertools.product(algebras, repeat=2))
+
+
+@pytest.mark.parametrize("field, bound, dim",
+                         [(GF2, 2, 2), (GF3, 2, 2), (GF5, 2, 2), (QQ, 1, 2),
+                          (QQ, 2, 2), (GF2, 2, 3), (GF3, 2, 3)],
+                         ids=["GF2", "GF3", "GF5", "QQ-bound1", "QQ-bound2",
+                              "GF2-dim3", "GF3-dim3"])
+def test_isomorphism_scan_matches_listed_scan(field, bound, dim):
     outcomes = set()
-    for a, b in itertools.product(algebras, repeat=2):
+    for a, b in iso_pairs(field, dim):
         expected = _listed_scan(a, b, bound)
         assert find_isomorphism(a, b, bound=bound) == expected
         outcomes.add(expected is None)

@@ -307,6 +307,17 @@ def assert_one_error_line(capsys, *names):
         assert name in err[0]
 
 
+@pytest.mark.parametrize("verb", ["check", "double"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_witness_cap_below_one_is_refused(case_one_files, tmp_path, capsys, verb, cap):
+    argv = {"check": ["check", case_one_files[0], "--identity", "jj"],
+            "double": ["double", *case_one_files]}[verb]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--max-witnesses", cap, "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "--max-witnesses", cap)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["abc", "1/0"])
 def test_check_malformed_scalar_exit_code(tmp_path, capsys, text):
     doc = algebra_to_json(class_algebra("e1e1=e2"))

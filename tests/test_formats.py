@@ -15,7 +15,6 @@ from mocklie.doubles import (
     assemble_prejj_double,
     check_invariance,
     conformance_diff,
-    dual_structure_maps,
 )
 from mocklie.fields import QQ, prime_field
 from mocklie.formats import (
@@ -31,8 +30,6 @@ from mocklie.formats import (
     dumps,
     field_from_json,
     field_to_json,
-    matched_pair_from_json,
-    matched_pair_to_json,
     matrix_from_json,
     matrix_to_json,
     rep_from_json,
@@ -214,25 +211,6 @@ def test_module_container_needs_module_dim_or_maps(classes_qq):
         doc[key], doc["module_dim"] = [], "abc"
         with pytest.raises(FormatError, match="module_dim"):
             parse(doc)
-
-
-def test_matched_pair_round_trip():
-    primal, dual = case_inputs("I", QQ)
-    mp = dual_structure_maps(primal, dual)
-    back = matched_pair_from_json(json.loads(dumps(matched_pair_to_json(mp))))
-    assert back.la == mp.la and back.ra == mp.ra
-    assert back.lb == mp.lb and back.rb == mp.rb
-
-
-def test_matched_pair_document_must_be_an_object_of_map_lists():
-    doc = matched_pair_to_json(dual_structure_maps(*case_inputs("I", QQ)))
-    for bad in ([1], "lA", 5, None):
-        with pytest.raises(FormatError, match="JSON object"):
-            matched_pair_from_json(bad)
-    for key in ("lA", "rA", "lB", "rB"):
-        for value in (5, None, "abc", {"0": []}):
-            with pytest.raises(FormatError, match="list of matrices"):
-                matched_pair_from_json({**doc, key: value})
 
 
 def test_dumps_is_deterministic(classes_qq):
