@@ -11,7 +11,7 @@ isomorphism, in the entries of its matrix, come the same way from
 ``algebra.product``.  One depth-first solver serves both: it fixes the
 variables one by one in index order and checks each equation as soon as
 its highest variable is fixed, so whole subtrees of the search space are
-cut at once.
+cut at once.  Its one guard is ``max_scan``, on the assignments it tries.
 
 Orbits are computed without listing GL_n(F_p): each unassigned solution is
 expanded under a generating set of the group (the transvections I + E_ij
@@ -38,6 +38,8 @@ from .fields import PrimeField, characteristic_warnings
 from .linalg import LinearMap, combination
 
 DEFAULT_MAX_SCAN = 10_000_000
+_SEARCH_LIMIT = "search tried more than {} assignments; raise max_scan to force it"
+_MAX_UNKNOWNS = 27  # a dim-3 census, or a dim-5 basis change
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,11 @@ def _compile(polys, size: int, modulus: int) -> tuple:
     a * x_d^2 + b * x_d + k, where b = sum of c * x_u over the pairs (c, u)
     in ``linear`` and k = sum of c * x_u * x_w over the terms (c, u, w) in
     ``free``.  Index ``size`` stands for the constant 1, so b and k involve
-    only x_0 .. x_{d-1} and the constant.
+    only x_0 .. x_{d-1} and the constant.  More than 27 unknowns raise
+    ``ShapeError`` before ``polys`` is read.
     """
+    if size > _MAX_UNKNOWNS:
+        raise ShapeError(f"{size} unknowns exceed the solver's limit of {_MAX_UNKNOWNS}")
     one = size
     equations = set()
     for poly in polys:
@@ -162,7 +167,7 @@ def _compile(polys, size: int, modulus: int) -> tuple:
     return tuple(map(tuple, split))
 
 
-def _solve(equations, domains, modulus: int, stats: dict):
+def _solve(equations, domains, modulus: int, stats: dict, max_scan: int):
     """Lazily, every assignment of x_d from ``domains[d]`` solving ``equations``.
 
     ``equations`` is as ``_compile`` returns it.  The variables are fixed
@@ -172,7 +177,7 @@ def _solve(equations, domains, modulus: int, stats: dict):
     fixed prefix, leaving a * v^2 + b * v + k to test per candidate value v,
     by ``% modulus == 0``, or by ``== 0`` when the modulus is 0; the values
     that pass one equation go on to the next.  ``stats["visited"]`` grows by
-    each entered depth's domain size, counted before filtering.
+    each entered depth's domain size, before filtering; past ``max_scan``, ``FieldError``.
     """
     last = len(domains) - 1
     vals = [0] * (last + 1) + [1]
@@ -180,6 +185,8 @@ def _solve(equations, domains, modulus: int, stats: dict):
     def descend(d):
         values = domains[d]
         stats["visited"] += len(values)
+        if stats["visited"] > max_scan:
+            raise FieldError(_SEARCH_LIMIT.format(max_scan))
         for a, linear, free in equations[d]:
             b = sum([c * vals[u] for c, u in linear])
             k = sum([c * vals[u] * vals[w] for c, u, w in free])
@@ -215,13 +222,13 @@ def _equations(n: int, p: int, kind: str) -> tuple:
                      for poly in defect), n ** 3, p)
 
 
-def _solve_subtree(p: int, n: int, kind: str, firsts) -> tuple[list, int]:
+def _solve_subtree(p: int, n: int, kind: str, firsts, max_scan: int) -> tuple[list, int]:
     """Solutions of ``kind`` whose first constant is in ``firsts``, in lex
     order, and the number of (variable, value) assignments tried: one census
     task, defined at module level so worker processes can run it."""
     stats = {"visited": 0}
     domains = [firsts] + [range(p)] * (n ** 3 - 1)
-    solutions = list(_solve(_equations(n, p, kind), domains, p, stats))
+    solutions = list(_solve(_equations(n, p, kind), domains, p, stats, max_scan))
     return solutions, stats["visited"]
 
 
@@ -239,9 +246,10 @@ def enumerate_solutions(dim: int, field, kind: str,
 
     The identity's equations are solved over GF(p) by ``_solve``, fixing
     the constants in lexicographic order with ascending values; solutions
-    come out in lexicographic order.  ``max_scan`` bounds the search space
-    p^(dim^3).  Up to ``workers`` processes share the subtrees of the first
-    constant; a ``stats`` dict receives ``visited``, the assignments tried.
+    come out in lexicographic order.  Up to ``workers`` processes share the
+    subtrees of the first constant; a ``stats`` dict receives ``visited``,
+    the assignments tried.  Past ``max_scan`` of them, in one subtree or in
+    sum, ``FieldError`` is raised whatever ``workers`` is; past dim 3, ``ShapeError``.
     """
     if kind not in IDENTITY_KINDS:
         raise FieldError(f"unknown identity kind {kind!r}")
@@ -249,20 +257,18 @@ def enumerate_solutions(dim: int, field, kind: str,
         raise FieldError(f"enumeration needs a prime field, got {field!r}")
     p = field.p
     size = pool_size(workers, p)
-    count = p ** (dim ** 3)
-    if count > max_scan:
-        raise FieldError(
-            f"scan of {count} tuples exceeds the limit of {max_scan}; "
-            f"raise max_scan to force it"
-        )
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
             subtrees = list(pool.map(_solve_subtree, [p] * p, [dim] * p,
-                                     [kind] * p, [(v,) for v in range(p)]))
+                                     [kind] * p, [(v,) for v in range(p)],
+                                     [max_scan] * p))
     else:
-        subtrees = [_solve_subtree(p, dim, kind, range(p))]
+        subtrees = [_solve_subtree(p, dim, kind, range(p), max_scan)]
+    visited = sum(count for _, count in subtrees)
+    if visited > max_scan:
+        raise FieldError(_SEARCH_LIMIT.format(max_scan))
     if stats is not None:
-        stats["visited"] = sum(visited for _, visited in subtrees)
+        stats["visited"] = visited
     return [ConstantTuple(dim, c) for sols, _ in subtrees for c in sols]
 
 
@@ -349,8 +355,8 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
     ``itertools.product`` order of the entries, and the first invertible
     one is returned: the first invertible match a scan of all those
     matrices would find.  None means there is no such matrix.
-    ``FieldError`` is raised for a negative ``bound`` and when the matrices
-    to search number more than ``max_scan``.
+    ``FieldError`` is raised for a negative ``bound`` or past ``max_scan``
+    assignments tried, and ``ShapeError`` past dim 5.
     """
     if a.field != b.field:
         raise FieldError("isomorphism search needs a common field")
@@ -361,26 +367,23 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
     n = a.dim
     f = a.field
     entries = range(f.p) if isinstance(f, PrimeField) else range(-bound, bound + 1)
-    if len(entries) ** (n * n) > max_scan:
-        raise FieldError(
-            f"scan over {len(entries) ** (n * n)} matrices exceeds {max_scan}"
-        )
 
     def constants(vec):
         return tuple({(): x} if x != f.zero else {} for x in vec)
 
-    # column i of P is P e_i; its entry in row r is the variable x_{rn+i}
-    cols = tuple(tuple({(r * n + i,): 1} for r in range(n)) for i in range(n))
-    poly_a = Algebra(_Polynomials, a.labels,
-                     tuple(tuple(map(constants, row)) for row in a.c))
-    polys = []
-    for i in range(n):
-        for j in range(n):
-            image = combination(_Polynomials, n, ((constants(b.c[i][j]), cols),))
-            polys += map(_Polynomials.sub, product(poly_a, cols[i], cols[j]), image)
-    equations = _compile(polys, n * n, f.characteristic)
+    def polys():
+        # column i of P is P e_i; its entry in row r is the variable x_{rn+i}
+        cols = tuple(tuple({(r * n + i,): 1} for r in range(n)) for i in range(n))
+        poly_a = Algebra(_Polynomials, a.labels,
+                         tuple(tuple(map(constants, row)) for row in a.c))
+        for i in range(n):
+            for j in range(n):
+                image = combination(_Polynomials, n, ((constants(b.c[i][j]), cols),))
+                yield from map(_Polynomials.sub, product(poly_a, cols[i], cols[j]), image)
+
+    equations = _compile(polys(), n * n, f.characteristic)
     for flat in _solve(equations, [entries] * (n * n), f.characteristic,
-                       {"visited": 0}):
+                       {"visited": 0}, max_scan):
         mat = LinearMap(f, tuple(tuple(map(f.of, flat[r * n:(r + 1) * n]))
                                  for r in range(n)))
         if mat.is_invertible():
@@ -397,16 +400,14 @@ def classify(dim: int, field: PrimeField, kind: str,
     or the identity is not basis-invariant and ``FieldError`` is raised.
     Each orbit is named by its lexicographically smallest member, and orbits
     come in the order of their first solution.  Output is deterministic for
-    any worker count.
+    any worker count.  ``max_scan`` bounds the assignments the solver tries.
     """
     if dim not in (1, 2):
         raise ShapeError("classification is implemented for dimensions 1 and 2")
-    if not isinstance(field, PrimeField):
-        raise FieldError("classification runs over prime fields")
-    p = field.p
     stats = {}
     solutions = enumerate_solutions(dim, field, kind, max_scan=max_scan,
                                     workers=workers, stats=stats)
+    p = field.p
     tuples = [s.entries for s in solutions]
     solution_set = set(tuples)
     gens = _gl_generators(p, dim)

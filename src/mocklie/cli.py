@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import catalog
-from .algebra import check_identity, sub_adjacent
+from .algebra import DEFAULT_MAX_WITNESSES, check_identity, sub_adjacent
 from .classify import DEFAULT_MAX_SCAN, classify
 from .doubles import (
     assemble_jj_double,
@@ -266,7 +266,7 @@ def build_parser():
             p.add_argument("--field", help="reinterpret scalars: 'rational' or 'prime:P'")
         p.add_argument("--out", help="output path (stdout when omitted)")
         if witnesses:
-            p.add_argument("--max-witnesses", type=int, default=16)
+            p.add_argument("--max-witnesses", type=int, default=DEFAULT_MAX_WITNESSES)
 
     p = sub.add_parser("check", help="check a defining identity")
     p.add_argument("file")
@@ -305,7 +305,8 @@ def build_parser():
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--kind", default="antiassoc")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN)
+    p.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN,
+                   help="bound on the (variable, value) assignments the solver tries")
     common(p, field=False)
     p.set_defaults(run=cmd_classify)
 

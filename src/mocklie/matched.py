@@ -32,21 +32,11 @@ from .algebra import (
     report_from_defects,
     sub_adjacent,
 )
-from .errors import ShapeError, require
+from .errors import require
 from .fields import require_same_field
 from .linalg import LinearMap, combination
-from .reps import JJRep, PreJJBimodule, check_jj_rep, check_prejj_bimodule
-
-
-def _validate_actions(src: Algebra, dst: Algebra, maps, what: str):
-    maps = tuple(maps)
-    if len(maps) != src.dim:
-        raise ShapeError(f"{what}: need one map per basis element of the acting algebra")
-    for m in maps:
-        require_same_field(src.field, m.field)
-        if m.rows != dst.dim or m.cols != dst.dim:
-            raise ShapeError(f"{what}: maps must be {dst.dim}x{dst.dim}")
-    return maps
+from .reps import (JJRep, PreJJBimodule, _validate_map_family, check_jj_rep,
+                   check_prejj_bimodule)
 
 
 @dataclass(frozen=True)
@@ -60,8 +50,10 @@ class JJMatchedPair:
 
     def __post_init__(self):
         require_same_field(self.G.field, self.H.field)
-        object.__setattr__(self, "rho", _validate_actions(self.G, self.H, self.rho, "rho"))
-        object.__setattr__(self, "mu", _validate_actions(self.H, self.G, self.mu, "mu"))
+        object.__setattr__(self, "rho", tuple(self.rho))
+        object.__setattr__(self, "mu", tuple(self.mu))
+        _validate_map_family(self.G, self.rho, "rho", self.H.dim)
+        _validate_map_family(self.H, self.mu, "mu", self.G.dim)
 
     @classmethod
     def zero_actions(cls, G: Algebra, H: Algebra) -> "JJMatchedPair":
@@ -83,10 +75,11 @@ class PreJJMatchedPair:
 
     def __post_init__(self):
         require_same_field(self.A.field, self.B.field)
-        object.__setattr__(self, "la", _validate_actions(self.A, self.B, self.la, "lA"))
-        object.__setattr__(self, "ra", _validate_actions(self.A, self.B, self.ra, "rA"))
-        object.__setattr__(self, "lb", _validate_actions(self.B, self.A, self.lb, "lB"))
-        object.__setattr__(self, "rb", _validate_actions(self.B, self.A, self.rb, "rB"))
+        A, B = self.A, self.B
+        for name, what, src, dst in (("la", "lA", A, B), ("ra", "rA", A, B),
+                                     ("lb", "lB", B, A), ("rb", "rB", B, A)):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+            _validate_map_family(src, getattr(self, name), what, dst.dim)
 
     @classmethod
     def zero_actions(cls, A: Algebra, B: Algebra) -> "PreJJMatchedPair":

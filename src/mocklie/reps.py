@@ -46,7 +46,8 @@ from .fields import require_same_field
 from .linalg import LinearMap, Vector, combination
 
 
-def _validate_map_family(alg: Algebra, maps, what: str) -> int:
+def _validate_map_family(alg: Algebra, maps, what: str, size: int | None = None) -> int:
+    """Size m of the m x m maps, one per basis element; m must be ``size`` if given."""
     maps = tuple(maps)
     if len(maps) != alg.dim:
         raise ShapeError(f"{what}: need one map per basis element of the algebra")
@@ -56,6 +57,8 @@ def _validate_map_family(alg: Algebra, maps, what: str) -> int:
     rows, cols = dims.pop()
     if rows != cols:
         raise ShapeError(f"{what}: module maps must be square, got {rows}x{cols}")
+    if size is not None and rows != size:
+        raise ShapeError(f"{what}: maps must be {size}x{size}, got {rows}x{rows}")
     for m in maps:
         require_same_field(alg.field, m.field)
     return rows
@@ -221,18 +224,22 @@ def _semidirect_table(alg, left_maps, right_maps, m) -> Algebra:
     return _block_product(alg, module, left_maps, right_maps, zero, zero)
 
 
+def _left_condition_defects(alg: Algebra, m: int, l, tag: str):
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            # l_{xy} + l_x l_y + l_{yx} + l_y l_x
+            d = _flat_sum(alg.field, m, ((l[i], l[j]), (l[j], l[i])),
+                          ((alg.c[i][j], l), (alg.c[j][i], l)))
+            yield (i, j), d, tag
+
+
 def _bimodule_condition_defects(bm: PreJJBimodule):
     alg = bm.algebra
     f = alg.field
     m = bm.module_dim
     n = alg.dim
     l, r = _flat(bm.left), _flat(bm.right)
-    for i in range(n):
-        for j in range(i, n):
-            # l_{xy} + l_x l_y + l_{yx} + l_y l_x
-            d = _flat_sum(f, m, ((l[i], l[j]), (l[j], l[i])),
-                          ((alg.c[i][j], l), (alg.c[j][i], l)))
-            yield (i, j), d, "left"
+    yield from _left_condition_defects(alg, m, l, "left")
     for i in range(n):
         for j in range(n):
             # r_y l_x + l_x r_y + r_y r_x + r_{xy}
@@ -276,12 +283,7 @@ def _bimodule_displayed_defects(bm: PreJJBimodule):
             d = _flat_sum(f, m, ((l[i], r[j]), (r[j], l[i]),
                                  (l[j], r[i]), (r[i], l[j])))
             yield (i, j), d, "eqbimodule1"
-    for i in range(n):
-        for j in range(i, n):
-            # l_{xy} + l_x l_y + l_{yx} + l_y l_x
-            d = _flat_sum(f, m, ((l[i], l[j]), (l[j], l[i])),
-                          ((alg.c[i][j], l), (alg.c[j][i], l)))
-            yield (i, j), d, "eqbimodule2"
+    yield from _left_condition_defects(alg, m, l, "eqbimodule2")
 
 
 def check_prejj_bimodule_displayed(bm: PreJJBimodule,

@@ -40,7 +40,6 @@ from mocklie.algebra import (
     passes_identity,
     product,
     right_mult,
-    structure_equal,
     sub_adjacent,
 )
 from mocklie.catalog import CASE_NAMES, case_inputs, case_table, class_algebras
@@ -61,7 +60,7 @@ from mocklie.doubles import (
     jj_matched_pair_from_duals,
 )
 from mocklie.fields import QQ
-from mocklie.formats import conformance_rows_to_json, double_to_json, dumps
+from mocklie.formats import double_to_json, dumps
 from mocklie.linalg import LinearMap
 from mocklie.matched import (
     JJMatchedPair,

@@ -6,13 +6,16 @@ import pytest
 
 from conftest import (GF2, GF3, GF5, brute_force_antiassociative, gl_matrices,
                       rand_invertible, seeded)
-from mocklie.algebra import (IDENTITY_KINDS, _DEFECT_GENERATORS, check_identity,
-                             passes_identity)
+from mocklie.algebra import (IDENTITY_KINDS, _DEFECT_GENERATORS, Algebra,
+                             apply_basis_change, check_identity, passes_identity,
+                             structure_equal)
 from mocklie.catalog import class_algebras
 from mocklie.classify import (
     ConstantTuple,
+    _compile,
     _equations,
     _gl_generators,
+    _solve_subtree,
     algebra_from_tuple,
     classify,
     enumerate_solutions,
@@ -148,8 +151,35 @@ def test_rational_mode_requires_candidates():
 
 
 def test_scan_guard():
-    with pytest.raises(FieldError, match="exceeds"):
-        enumerate_solutions(2, prime_field(11), "antiassociative")
+    # the guard bounds the assignments the solver tries, summed over the
+    # subtrees of the first constant: at 3,000 every subtree stays under the
+    # limit and only their sum passes it, whatever the worker count
+    subtrees = [_solve_subtree(5, 2, "antiassociative", (v,), 10 ** 4)[1]
+                for v in range(5)]
+    assert max(subtrees) < 3000 < sum(subtrees) == 8220
+    # a subtree stops at the limit, before its own search ends
+    with pytest.raises(FieldError, match="more than 3000 assignments"):
+        _solve_subtree(5, 2, "antiassociative", range(5), 3000)
+    for workers in (1, 2):
+        stats = {}
+        enumerate_solutions(2, GF5, "antiassociative", max_scan=8220,
+                            workers=workers, stats=stats)
+        assert stats["visited"] == 8220
+        for limit in (8219, 3000):
+            with pytest.raises(FieldError, match=f"more than {limit} assignments"):
+                enumerate_solutions(2, GF5, "antiassociative", max_scan=limit,
+                                    workers=workers)
+    # the unknowns are capped before any equation is built
+    with pytest.raises(ShapeError, match="64 unknowns"):
+        enumerate_solutions(4, GF2, "antiassociative")
+
+    def unread():
+        raise AssertionError("polynomials read")
+        yield
+
+    with pytest.raises(ShapeError, match="28 unknowns"):
+        _compile(unread(), 28, 5)
+    assert _compile(iter(()), 27, 5) == ((),) * 27
 
 
 def test_constant_tuple_length_checked():
@@ -238,14 +268,15 @@ def test_classify_dim2_f7_beyond_the_scan():
     # |GL(2,7)| = (49 - 1)(49 - 7) = 48 * 42 = 2016.  The stabiliser of
     # e1e1=e2 is {f1 = a e1 + b e2, f2 = a^2 e2} with a != 0: 6 * 7 = 42
     # elements, so its orbit has 2016 / 42 = 48 members; with zero that is
-    # 49 solutions, and the lex-smallest member is e2e2=e1.
-    gf7 = prime_field(7)
-    expected = [(ZERO8, 1), (CUBE_TUPLE, 48)]
-    for kind in ("antiassociative", "jj", "left_pre_jj", "right_pre_jj", "operad"):
-        census = classify(2, gf7, kind)
-        assert census.total == 49
-        assert [(o.representative, o.size) for o in census.orbits] == expected
-        assert census.metadata["gl_order"] == 2016
+    # 49 solutions, and the lex-smallest member is e2e2=e1.  Over GF(13)
+    # the same count gives 1 + 168 = 169 solutions in two orbits.
+    for p, gl in ((7, 2016), (13, 168 * 156)):
+        expected = [(ZERO8, 1), (CUBE_TUPLE, p * p - 1)]
+        for kind in ("antiassociative", "jj", "left_pre_jj", "right_pre_jj", "operad"):
+            census = classify(2, prime_field(p), kind)
+            assert census.total == p * p
+            assert [(o.representative, o.size) for o in census.orbits] == expected
+            assert census.metadata["gl_order"] == gl
 
 
 def test_classify_dim2_f2():
@@ -309,8 +340,15 @@ def test_classify_workers_guard_and_metadata():
 
 
 def test_classify_guards():
-    with pytest.raises(FieldError, match="exceeds"):
-        classify(2, prime_field(11), "antiassociative")
+    # 11^8 tuples, but the solver tries 359,238 assignments; one fewer is
+    # refused
+    census = classify(2, prime_field(11), "antiassociative")
+    assert census.total == 121
+    assert [o.size for o in census.orbits] == [1, 120]
+    assert census.metadata["visited"] == 359238
+    assert census.metadata["scanned"] == 11 ** 8
+    with pytest.raises(FieldError, match="more than 359237 assignments"):
+        classify(2, prime_field(11), "antiassociative", max_scan=359237)
     with pytest.raises(ShapeError):
         classify(3, GF2, "antiassociative")
     with pytest.raises(FieldError):
@@ -493,9 +531,15 @@ def test_split_equations_evaluate_like_the_equations(n, p):
 
 def test_rational_isomorphism_scan_is_guarded(classes_qq):
     a, b = classes_qq["e1e1=e2"], classes_qq["e2e2=e1"]
-    with pytest.raises(FieldError, match="exceeds"):
-        find_isomorphism(a, b, bound=50)
-    assert find_isomorphism(a, b, bound=2) is not None
+    # 101^4 matrices at bound 50, of which the solver walks a few
+    iso = find_isomorphism(a, b, bound=50)
+    assert structure_equal(apply_basis_change(a, iso), b)
+    with pytest.raises(FieldError, match="more than 100 assignments"):
+        find_isomorphism(a, b, bound=50, max_scan=100)
+    # P has 36 entries at dim 6, past the solver's 27 unknowns
+    zero6 = Algebra.zero(QQ, 6)
+    with pytest.raises(ShapeError, match="36 unknowns"):
+        find_isomorphism(zero6, zero6)
 
 
 def test_isomorphism_scan_rejects_negative_bound(classes_qq):

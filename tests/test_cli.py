@@ -3,7 +3,8 @@ import json
 import pytest
 
 from conftest import GF5, brute_force_antiassociative
-from mocklie.algebra import Algebra, passes_identity, sub_adjacent
+from mocklie.algebra import (Algebra, apply_basis_change, passes_identity,
+                             structure_equal, sub_adjacent)
 from mocklie.catalog import case_inputs, case_table_path, class_algebra
 from mocklie.cli import main
 from mocklie.fields import QQ
@@ -12,6 +13,7 @@ from mocklie.formats import (
     algebra_to_json,
     bimodule_to_json,
     dumps,
+    matrix_from_json,
     rep_to_json,
 )
 from mocklie.reps import JJRep, PreJJBimodule
@@ -221,9 +223,23 @@ def test_classify_f2_census_matches_oracle(tmp_path):
     assert doc["warnings"]
 
 
-def test_classify_infeasible(tmp_path):
-    assert main(["classify", "--dim", "2", "--prime", "11",
-                 "--out", str(tmp_path / "c.json")]) == 2
+def test_classify_infeasible(tmp_path, capsys):
+    # the dim-2 GF(5) census tries 8,220 assignments, past --max-scan 1000
+    out = tmp_path / "c.json"
+    for workers in ("1", "2"):
+        assert main(["classify", "--dim", "2", "--prime", "5", "--max-scan", "1000",
+                     "--workers", workers, "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "more than 1000 assignments")
+        assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--dim", "3", "--prime", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    # 11^8 tuples, but 359,238 assignments tried
+    assert main(["classify", "--dim", "2", "--prime", "11", "--kind", "antiassoc",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["total"] == 121 and [o["size"] for o in doc["orbits"]] == [1, 120]
+    assert doc["metadata"]["visited"] == 359238
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -409,11 +425,17 @@ def test_semidirect_container_without_module_dim(tmp_path, capsys, jj):
 
 
 def test_iso_rational_bound_guard(tmp_path, capsys):
-    a = write_algebra(tmp_path / "a.json", class_algebra("e1e1=e2"))
-    b = write_algebra(tmp_path / "b.json", class_algebra("e2e2=e1"))
-    assert main(["iso", a, b, "--bound", "50"]) == 2
-    assert_one_error_line(capsys, "exceeds")
-    assert main(["iso", a, b, "--out", str(tmp_path / "iso.json")]) == 0
+    square, cube = class_algebra("e1e1=e2"), class_algebra("e2e2=e1")
+    a = write_algebra(tmp_path / "a.json", square)
+    b = write_algebra(tmp_path / "b.json", cube)
+    out = tmp_path / "iso.json"
+    assert main(["iso", a, b, "--bound", "50", "--out", str(out)]) == 0
+    matrix = matrix_from_json(QQ, json.loads(out.read_text())["matrix"])
+    assert structure_equal(apply_basis_change(square, matrix), cube)
+    # a dim-6 basis change has 36 entries, past the solver's 27 unknowns
+    six = write_algebra(tmp_path / "six.json", Algebra.zero(QQ, 6))
+    assert main(["iso", six, six]) == 2
+    assert_one_error_line(capsys, "36 unknowns")
 
 
 def test_unwritable_out_exit_code(tmp_path, capsys):

@@ -25,7 +25,6 @@ from mocklie.formats import (
     bimodule_to_json,
     census_to_json,
     coerce_algebra,
-    conformance_rows_to_json,
     double_to_json,
     dumps,
     field_from_json,

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import (
 from mocklie.algebra import passes_identity, structure_equal, sub_adjacent
 from mocklie.catalog import case_inputs
 from mocklie.doubles import dual_structure_maps
-from mocklie.errors import PreconditionError
+from mocklie.errors import MixedFieldError, PreconditionError, ShapeError
 from mocklie.fields import QQ
 from mocklie.linalg import LinearMap
 from mocklie.matched import (
@@ -40,6 +41,40 @@ from mocklie.matched import _jj_pair_defects, _prejj_pair_defects
 
 def vec(field, *coords):
     return tuple(field.of(x) for x in coords)
+
+
+# ---------------------------------------------------------------------------
+# action families
+# ---------------------------------------------------------------------------
+
+def broken_family(family, defect):
+    """``family`` of m x m maps over QQ, broken as ``defect`` names, with the
+    error its matched pair must raise and a fragment of the message."""
+    m = family[0].rows
+    return {
+        "count": (family[:-1], ShapeError, "one map per basis element"),
+        "size": (tuple(LinearMap.zeros(QQ, m + 1, m + 1) for _ in family),
+                 ShapeError, f"must be {m}x{m}"),
+        "non-square": (tuple(LinearMap.zeros(QQ, m, m + 1) for _ in family),
+                       ShapeError, "square"),
+        "mixed field": ((LinearMap.zeros(GF5, m, m),) + family[1:],
+                        MixedFieldError, "mixed fields"),
+    }[defect]
+
+
+@pytest.mark.parametrize("defect", ["count", "size", "non-square", "mixed field"])
+@pytest.mark.parametrize("pair, slot, name", [
+    (JJMatchedPair, "rho", "rho"), (JJMatchedPair, "mu", "mu"),
+    (PreJJMatchedPair, "la", "lA"), (PreJJMatchedPair, "ra", "rA"),
+    (PreJJMatchedPair, "lb", "lB"), (PreJJMatchedPair, "rb", "rB"),
+])
+def test_action_families_are_validated(pair, slot, name, defect):
+    # dims 2 and 3, so each family's count and map size tell the sides apart
+    valid = pair.zero_actions(Algebra.zero(QQ, 2), Algebra.zero(QQ, 3))
+    family, error, message = broken_family(getattr(valid, slot), defect)
+    with pytest.raises(error, match=message) as exc:
+        dataclasses.replace(valid, **{slot: family})
+    assert error is MixedFieldError or str(exc.value).startswith(f"{name}:")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import pytest
 
 from conftest import (
     GF5,
-    outcome,
     rand_matrix,
     random_candidate_bimodule,
     random_valid_bimodule,
