@@ -256,6 +256,9 @@ def enumerate_solutions(dim: int, field, kind: str,
     if not isinstance(field, PrimeField):
         raise FieldError(f"enumeration needs a prime field, got {field!r}")
     p = field.p
+    if p > max_scan:
+        # every search tries each value of the first constant
+        raise FieldError(_SEARCH_LIMIT.format(max_scan))
     size = pool_size(workers, p)
     if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
@@ -289,9 +292,17 @@ def gl_order(p: int, n: int) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    """The smallest generator of the multiplicative group of GF(p)."""
+    """The smallest generator of the multiplicative group of GF(p): the
+    smallest w with w^((p-1)/q) != 1 for every prime q dividing p - 1."""
+    n, factors = p - 1, set()
+    for q in range(2, math.isqrt(p) + 1):
+        while n % q == 0:
+            n //= q
+            factors.add(q)
+    if n > 1:
+        factors.add(n)
     return next(w for w in range(1, p)
-                if len({pow(w, k, p) for k in range(1, p)}) == p - 1)
+                if all(pow(w, (p - 1) // q, p) != 1 for q in factors))
 
 
 @lru_cache(maxsize=None)
@@ -367,6 +378,9 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
     n = a.dim
     f = a.field
     entries = range(f.p) if isinstance(f, PrimeField) else range(-bound, bound + 1)
+    if entries.stop - entries.start > max_scan:
+        # the solver tries every value of the first entry
+        raise FieldError(_SEARCH_LIMIT.format(max_scan))
 
     def constants(vec):
         return tuple({(): x} if x != f.zero else {} for x in vec)

@@ -14,7 +14,7 @@ import sys
 
 from . import catalog
 from .algebra import DEFAULT_MAX_WITNESSES, check_identity, sub_adjacent
-from .classify import DEFAULT_MAX_SCAN, classify
+from .classify import DEFAULT_MAX_SCAN, classify, find_isomorphism
 from .doubles import (
     assemble_jj_double,
     assemble_prejj_double,
@@ -33,6 +33,7 @@ from .formats import (
     double_to_json,
     dumps,
     field_to_json,
+    matrix_to_json,
     rep_from_json,
     report_to_json,
     table_fixture_from_json,
@@ -64,7 +65,11 @@ def _parse_field(text):
         return QQ
     kind, _, modulus = text.partition(":")
     if kind == "prime" and modulus.strip().isdecimal():
-        return PrimeField(int(modulus))
+        try:
+            p = int(modulus)
+        except ValueError:
+            raise CliError(f"--field modulus has {len(modulus)} digits, too many") from None
+        return PrimeField(p)
     raise CliError(f"bad --field value {text!r}; use 'rational' or 'prime:P'")
 
 
@@ -82,6 +87,9 @@ def _load_json(path):
         raise CliError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:
+        # int() refuses integer literals past the interpreter's digit limit
+        raise CliError(f"{path}: integer has too many digits") from None
 
 
 def _parse(path, parse, obj, *args):
@@ -206,9 +214,6 @@ def cmd_classify(args):
 
 
 def cmd_iso(args):
-    from .classify import find_isomorphism
-    from .formats import matrix_to_json
-
     field = _parse_field(args.field)
     a = _load_algebra(args.file_a, field)
     b = _load_algebra(args.file_b, field)

@@ -14,6 +14,11 @@ Each equation term is one ``(coefficients, vectors)`` pair of
 products of the algebras, taken once per checker call, so no term builds a
 ``LinearMap`` or applies one.
 
+Exchanging the two algebras and their actions maps each equation onto its
+partner, so only eqt1, eqq1 and eqq2 are transcribed: eqt2 is eqt1 run on
+(H, G, mu, rho), and eqq3 and eqq4 are eqq1 and eqq2 run on (B, A, lB, rB,
+lA, rA).
+
 Basis convention: the product carrier is ordered first-algebra basis first,
 then second-algebra basis.
 """
@@ -96,29 +101,24 @@ def _columns(maps) -> tuple:
     return cols, tuple(zip(*cols))
 
 
-def _jj_pair_defects(mp: JJMatchedPair):
-    G, H = mp.G, mp.H
-    f = G.field
-    ng, nh = G.dim, H.dim
-    rho, rho_at = _columns(mp.rho)
-    mu, mu_at = _columns(mp.mu)
-    g_right, h_right = _right_columns(G), _right_columns(H)
-    # eqt1: rho(x)(ab) + rho(x)a.b + a.rho(x)b + rho(mu(a)x)b + rho(mu(b)x)a = 0
-    for i in range(ng):
+def _eqt(H: Algebra, rho, rho_at, mu, tag: str):
+    # eqt1 of (G, H, rho, mu), the maps as ``_columns``; run on the exchanged
+    # pair (H, G, mu, rho) it is eqt2
+    nh, h_right = H.dim, _right_columns(H)
+    # rho(x)(ab) + rho(x)a.b + a.rho(x)b + rho(mu(a)x)b + rho(mu(b)x)a = 0
+    for i in range(len(rho)):
         for a in range(nh):
             for b in range(a, nh):
-                d = combination(f, nh, (
+                d = combination(H.field, nh, (
                     (H.c[a][b], rho[i]), (rho[i][a], h_right[b]), (rho[i][b], H.c[a]),
                     (mu[a][i], rho_at[b]), (mu[b][i], rho_at[a])))
-                yield (i, a, b), d, "eqt1"
-    # eqt2: mu(a)(xy) + mu(a)x.y + x.mu(a)y + mu(rho(x)a)y + mu(rho(y)a)x = 0
-    for a in range(nh):
-        for i in range(ng):
-            for j in range(i, ng):
-                d = combination(f, ng, (
-                    (G.c[i][j], mu[a]), (mu[a][i], g_right[j]), (mu[a][j], G.c[i]),
-                    (rho[i][a], mu_at[j]), (rho[j][a], mu_at[i])))
-                yield (a, i, j), d, "eqt2"
+                yield (i, a, b), d, tag
+
+
+def _jj_pair_defects(mp: JJMatchedPair):
+    (rho, rho_at), (mu, mu_at) = _columns(mp.rho), _columns(mp.mu)
+    yield from _eqt(mp.H, rho, rho_at, mu, "eqt1")
+    yield from _eqt(mp.G, mu, mu_at, rho, "eqt2")
 
 
 def check_jj_matched_pair(mp: JJMatchedPair,
@@ -148,51 +148,35 @@ def jj_bicross_product(mp: JJMatchedPair) -> Algebra:
     return _block_product(mp.G, mp.H, mp.rho, mp.rho, mp.mu, mp.mu)
 
 
-def _prejj_pair_defects(mp: PreJJMatchedPair):
-    A, B = mp.A, mp.B
-    f = A.field
-    na, nb = A.dim, B.dim
-    la, la_at = _columns(mp.la)
-    ra, ra_at = _columns(mp.ra)
-    lb, lb_at = _columns(mp.lb)
-    rb, rb_at = _columns(mp.rb)
-    a_right, b_right = _right_columns(A), _right_columns(B)
-    # eqq1: rA(x)[a,b] + rA(lB(b)x)a + rA(lB(a)x)b + a(rA(x)b) + b(rA(x)a) = 0
-    for i in range(na):
+def _eqq(B: Algebra, la, la_at, ra, ra_at, lb, rb, tags):
+    # eqq1 and eqq2 of (A, B, lA, rA, lB, rB), the maps as ``_columns``; run
+    # on the exchanged pair (B, A, lB, rB, lA, rA) they are eqq3 and eqq4
+    f, nb, b_right = B.field, B.dim, _right_columns(B)
+    # rA(x)[a,b] + rA(lB(b)x)a + rA(lB(a)x)b + a(rA(x)b) + b(rA(x)a) = 0
+    for i in range(len(la)):
         for a in range(nb):
             for b in range(a, nb):
                 d = combination(f, nb, (
                     (B.c[a][b], ra[i]), (B.c[b][a], ra[i]), (lb[b][i], ra_at[a]),
                     (lb[a][i], ra_at[b]), (ra[i][b], B.c[a]), (ra[i][a], B.c[b])))
-                yield (i, a, b), d, "eqq1"
-    # eqq2: lA(x)(ab) + lA(lB(a)x + rB(a)x)b + (lA(x)a + rA(x)a).b
-    #       + rA(rB(b)x)a + a.(lA(x)b) = 0
-    for i in range(na):
+                yield (i, a, b), d, tags[0]
+    # lA(x)(ab) + lA(lB(a)x + rB(a)x)b + (lA(x)a + rA(x)a).b
+    # + rA(rB(b)x)a + a.(lA(x)b) = 0
+    for i in range(len(la)):
         for a in range(nb):
             for b in range(nb):
                 d = combination(f, nb, (
                     (B.c[a][b], la[i]), (lb[a][i], la_at[b]), (rb[a][i], la_at[b]),
                     (la[i][a], b_right[b]), (ra[i][a], b_right[b]),
                     (rb[b][i], ra_at[a]), (la[i][b], B.c[a])))
-                yield (i, a, b), d, "eqq2"
-    # eqq3: rB(a)[x,y] + rB(lA(y)a)x + rB(lA(x)a)y + x(rB(a)y) + y(rB(a)x) = 0
-    for a in range(nb):
-        for i in range(na):
-            for j in range(i, na):
-                d = combination(f, na, (
-                    (A.c[i][j], rb[a]), (A.c[j][i], rb[a]), (la[j][a], rb_at[i]),
-                    (la[i][a], rb_at[j]), (rb[a][j], A.c[i]), (rb[a][i], A.c[j])))
-                yield (a, i, j), d, "eqq3"
-    # eqq4: lB(a)(xy) + lB(lA(x)a)y + lB(rA(x)a)y + (lB(a)x)y + (rB(a)x)y
-    #       + x(lB(a)y) + rB(rA(y)a)x = 0
-    for a in range(nb):
-        for i in range(na):
-            for j in range(na):
-                d = combination(f, na, (
-                    (A.c[i][j], lb[a]), (la[i][a], lb_at[j]), (ra[i][a], lb_at[j]),
-                    (lb[a][i], a_right[j]), (rb[a][i], a_right[j]),
-                    (lb[a][j], A.c[i]), (ra[j][a], rb_at[i])))
-                yield (a, i, j), d, "eqq4"
+                yield (i, a, b), d, tags[1]
+
+
+def _prejj_pair_defects(mp: PreJJMatchedPair):
+    (la, la_at), (ra, ra_at) = _columns(mp.la), _columns(mp.ra)
+    (lb, lb_at), (rb, rb_at) = _columns(mp.lb), _columns(mp.rb)
+    yield from _eqq(mp.B, la, la_at, ra, ra_at, lb, rb, ("eqq1", "eqq2"))
+    yield from _eqq(mp.A, lb, lb_at, rb, rb_at, la, ra, ("eqq3", "eqq4"))
 
 
 def check_prejj_matched_pair(mp: PreJJMatchedPair,

@@ -13,8 +13,8 @@ make the semidirect sum a pre-JJ algebra, checked on all basis pairs:
     (mixed)  r_y l_x + l_x r_y = -(r_y r_x + r_{xy})
     (right)  r_{xy} + r_y r_x = -(r_y l_x + l_x r_y)
 
-(the mixed and right families coincide term by term; both are evaluated and
-tagged so a report shows exactly which printed condition broke).  The
+(the mixed and right families coincide term by term, so their sum is
+evaluated once and each defect is reported under both tags).  The
 two-condition variant that replaces mixed/right with
 ``[l_x, r_y] = -[l_y, r_x]`` is available separately as a diagnostic; it is
 strictly weaker, and the divergence is observable.
@@ -171,11 +171,8 @@ def _algebra_defects(alg: Algebra, kind: str):
 
 
 def _rep_condition_defects(rep: JJRep):
-    alg = rep.algebra
-    f = alg.field
-    m = rep.module_dim
-    n = alg.dim
-    rho = _flat(rep.maps)
+    alg, m, rho = rep.algebra, rep.module_dim, _flat(rep.maps)
+    f, n = alg.field, alg.dim
     for i in range(n):
         for j in range(i, n):
             d = _flat_sum(f, m, ((rho[i], rho[j]), (rho[j], rho[i])),
@@ -234,24 +231,20 @@ def _left_condition_defects(alg: Algebra, m: int, l, tag: str):
 
 
 def _bimodule_condition_defects(bm: PreJJBimodule):
-    alg = bm.algebra
-    f = alg.field
-    m = bm.module_dim
-    n = alg.dim
+    alg, m = bm.algebra, bm.module_dim
+    f, n = alg.field, alg.dim
     l, r = _flat(bm.left), _flat(bm.right)
     yield from _left_condition_defects(alg, m, l, "left")
+    mixed = []
     for i in range(n):
         for j in range(n):
             # r_y l_x + l_x r_y + r_y r_x + r_{xy}
             d = _flat_sum(f, m, ((r[j], l[i]), (l[i], r[j]), (r[j], r[i])),
                           ((alg.c[i][j], r),))
+            mixed.append(((i, j), d))
             yield (i, j), d, "mixed"
-    for i in range(n):
-        for j in range(n):
-            # r_{xy} + r_y r_x + r_y l_x + l_x r_y
-            d = _flat_sum(f, m, ((r[j], r[i]), (r[j], l[i]), (l[i], r[j])),
-                          ((alg.c[i][j], r),))
-            yield (i, j), d, "right"
+    # the right condition is the same four terms, so its defects are these
+    yield from ((ij, d, "right") for ij, d in mixed)
 
 
 def check_prejj_bimodule(bm: PreJJBimodule,
@@ -272,10 +265,8 @@ def check_prejj_bimodule(bm: PreJJBimodule,
 
 
 def _bimodule_displayed_defects(bm: PreJJBimodule):
-    alg = bm.algebra
-    f = alg.field
-    m = bm.module_dim
-    n = alg.dim
+    alg, m = bm.algebra, bm.module_dim
+    f, n = alg.field, alg.dim
     l, r = _flat(bm.left), _flat(bm.right)
     for i in range(n):
         for j in range(i, n):

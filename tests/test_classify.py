@@ -15,6 +15,7 @@ from mocklie.classify import (
     _compile,
     _equations,
     _gl_generators,
+    _primitive_root,
     _solve_subtree,
     algebra_from_tuple,
     classify,
@@ -470,6 +471,15 @@ def test_generators_close_to_the_whole_group(n, p):
                 frontier.append(image)
     assert group == set(gl_matrices(p, n))
     assert gl_order(p, n) == len(gl_matrices(p, n))
+
+
+def test_primitive_root_is_the_smallest_generator():
+    # the definition: the smallest w whose powers reach all p - 1 units
+    for p in range(2, 500):
+        if all(p % d for d in range(2, p)):
+            assert _primitive_root(p) == next(
+                w for w in range(1, p)
+                if len({pow(w, k, p) for k in range(1, p)}) == p - 1)
 
 
 def full_closure_orbits(solutions, n, p):

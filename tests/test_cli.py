@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +244,37 @@ def test_classify_infeasible(tmp_path, capsys):
     assert doc["metadata"]["visited"] == 359238
 
 
+def test_classify_large_prime_census(tmp_path):
+    # p = 999,983: the census tries each of the p values once, and the
+    # primitive root (5) comes from the prime factors of p - 1
+    out = tmp_path / "c.json"
+    start = time.perf_counter()
+    assert main(["classify", "--dim", "1", "--prime", "999983", "--kind", "jj",
+                 "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1
+    assert out.read_text() == dumps({
+        "dim": 1,
+        "field": {"kind": "prime", "p": 999983},
+        "kind": "jj",
+        "metadata": {"gl_order": 999982, "scanned": 999983, "visited": 999983,
+                     "workers": 1},
+        "orbits": [{"representative": ["0 mod 999983"], "size": 1}],
+        "schema_version": 1,
+        "total": 1,
+        "warnings": [],
+    })
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_classify_prime_past_max_scan_is_refused(tmp_path, capsys, workers):
+    # the search tries every value of the first constant, 10^24 + 7 of them
+    out = tmp_path / "c.json"
+    assert main(["classify", "--dim", "1", "--prime", str(10 ** 24 + 7),
+                 "--workers", workers, "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "more than 10000000 assignments")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_classify_rejects_nonpositive_workers(tmp_path, capsys, workers):
     out = tmp_path / "c.json"
@@ -378,6 +411,31 @@ def test_check_bad_prime_field_flag(tmp_path, capsys):
     assert_one_error_line(capsys, "--field", "prime:abc")
 
 
+@pytest.mark.parametrize("modulus, code, names", [
+    ("7" * 4400, 2, ["--field", "digits"]),  # past int()'s 4,300-digit limit
+    ("3317044064679887385961981", 2, ["too large"]),  # psi_13
+    ("1000000000000000000000007", 0, []),  # 10^24 + 7, a prime
+], ids=["4400-digits", "psi13", "1e24+7"])
+def test_check_large_prime_field_flag(tmp_path, capsys, modulus, code, names):
+    path = write_algebra(tmp_path / "z.json", Algebra.zero(QQ, 2))
+    start = time.perf_counter()
+    assert main(["check", path, "--identity", "jj", "--field", f"prime:{modulus}",
+                 "--out", str(tmp_path / "out.json")]) == code
+    assert time.perf_counter() - start < 1
+    if code == 2:
+        assert_one_error_line(capsys, *names)
+
+
+def test_check_integer_past_the_digit_limit(tmp_path, capsys):
+    # json.load cannot convert an integer literal of 5,000 digits
+    text = Path(write_algebra(tmp_path / "z.json", Algebra.zero(QQ, 2))).read_text()
+    assert '"dim": 2' in text
+    path = tmp_path / "big.json"
+    path.write_text(text.replace('"dim": 2', '"dim": ' + "9" * 5000))
+    assert main(["check", str(path), "--identity", "jj"]) == 2
+    assert_one_error_line(capsys, str(path), "digits")
+
+
 @pytest.mark.parametrize("key", ["l", "r"])
 def test_semidirect_container_missing_maps(tmp_path, capsys, key):
     doc = bimodule_to_json(PreJJBimodule.regular(class_algebra("e1e1=e2")))
@@ -484,3 +542,13 @@ def test_iso_negative_bound(tmp_path, capsys):
     a = write_algebra(tmp_path / "a.json", class_algebra("e1e1=e2"))
     assert main(["iso", a, a, "--bound", "-3"]) == 2
     assert_one_error_line(capsys, "bound")
+
+
+@pytest.mark.parametrize("flags", [["--bound", str(10 ** 19)],
+                                   ["--field", f"prime:{10 ** 24 + 7}"]],
+                         ids=["bound-1e19", "prime-1e24+7"])
+def test_iso_entry_range_past_max_scan_is_refused(tmp_path, capsys, flags):
+    # the solver tries every value of the first entry, more than 10^7 here
+    a = write_algebra(tmp_path / "a.json", class_algebra("e1e1=e2"))
+    assert main(["iso", a, a, *flags]) == 2
+    assert_one_error_line(capsys, "more than 10000000 assignments")

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from mocklie.errors import FieldError, MixedFieldError
 from mocklie.fields import (
     QQ,
     PrimeField,
+    _is_prime,
     field_inverse,
     normalize,
     prime_field,
@@ -52,6 +55,56 @@ def test_field_inverse_of_zero_rejected(field):
 def test_non_prime_moduli_rejected(p):
     with pytest.raises(FieldError):
         prime_field(p)
+
+
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _strong_probable_prime(n, a):
+    # n - 1 = d * 2^s with d odd; n passes base a when a^d = 1 or some
+    # a^(d 2^r) = -1 (mod n), r < s
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+def test_primality_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(-3, 10 ** 5) if _is_prime(n)] == \
+        [n for n in range(-3, 10 ** 5) if _trial_division(n)]
+
+
+def test_large_prime_modulus_is_fast():
+    # trial division up to the square root would take hours here
+    start = time.perf_counter()
+    field = PrimeField(10 ** 24 + 7)
+    assert time.perf_counter() - start < 0.01
+    assert field.mul(field.inv(3), 3) == 1
+
+
+def test_strong_pseudoprime_to_small_bases_rejected():
+    n = 3_215_031_751  # = 151 * 751 * 28351
+    assert n == 151 * 751 * 28351
+    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7))
+    assert not _is_prime(n)
+    with pytest.raises(FieldError, match="not prime"):
+        PrimeField(n)
+
+
+def test_moduli_from_psi_13_up_are_refused():
+    # psi_13 passes Miller-Rabin for all 13 prime bases up to 41, and base
+    # 43 shows it composite: the bases decide primality only below it
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    assert all(_strong_probable_prime(PSI_13, a) for a in bases)
+    assert not _strong_probable_prime(PSI_13, 43)
+    for p in (PSI_13, PSI_13 + 2, 10 ** 30):
+        with pytest.raises(FieldError, match="too large"):
+            PrimeField(p)
 
 
 def test_prime_field_constructions_agree():

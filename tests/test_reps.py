@@ -8,12 +8,15 @@ from conftest import (
     seeded,
 )
 from mocklie.algebra import (
+    _DEFECT_GENERATORS,
     Algebra,
     Witness,
     ad,
     direct_sum,
     left_mult,
     passes_identity,
+    product,
+    report_from_defects,
     right_mult,
     structure_equal,
     sub_adjacent,
@@ -214,6 +217,77 @@ def test_bimodule_witness_layout(classes_qq):
         *(Witness(ij, defect, "right") for ij, defect in mixed),
     )
     assert not report.truncated
+
+
+def _scalar(rng, field):
+    # about two in five zeros, so that skipped terms are exercised too
+    return field.of(rng.randrange(-3, 4) if rng.random() < 0.7 else 0)
+
+
+def _on(maps, v):
+    # the map of the algebra vector v: sum_k v_k maps[k]
+    acc = LinearMap.zeros(maps[0].field, maps[0].rows, maps[0].cols)
+    for vk, m in zip(v, maps):
+        acc = acc.add(m.scale(vk))
+    return acc
+
+
+def _bimodule_oracle(bm):
+    # the three operational conditions of the ``reps`` docstring, each term
+    # a LinearMap product or sum, flattened row-major
+    alg, l, r = bm.algebra, bm.left, bm.right
+    n = alg.dim
+
+    def xy(i, j):
+        return product(alg, alg.basis(i), alg.basis(j))
+
+    def flat(*maps):
+        total = maps[0]
+        for m in maps[1:]:
+            total = total.add(m)
+        return tuple(x for row in total.entries for x in row)
+
+    for indices, defect in _DEFECT_GENERATORS["left_pre_jj"](alg):
+        yield indices, defect, "algebra"
+    for i in range(n):
+        for j in range(i, n):
+            yield (i, j), flat(_on(l, xy(i, j)), l[i].mul(l[j]),
+                               _on(l, xy(j, i)), l[j].mul(l[i])), "left"
+    for i in range(n):
+        for j in range(n):
+            yield (i, j), flat(r[j].mul(l[i]), l[i].mul(r[j]),
+                               r[j].mul(r[i]), _on(r, xy(i, j))), "mixed"
+    for i in range(n):
+        for j in range(n):
+            yield (i, j), flat(_on(r, xy(i, j)), r[j].mul(r[i]),
+                               r[j].mul(l[i]), l[i].mul(r[j])), "right"
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bimodule_witnesses_match_operator_oracle(field, n, m):
+    # arbitrary candidates: every report, at every cap up to the number of
+    # violations, against the conditions written with LinearMap.mul/add
+    rng = seeded(60 + 3 * n + m)
+    tags = set()
+    for _ in range(2):
+        alg = Algebra.from_tensor(field, [[[_scalar(rng, field) for _ in range(n)]
+                                           for _ in range(n)] for _ in range(n)])
+        maps = lambda: tuple(
+            LinearMap(field, tuple(tuple(_scalar(rng, field) for _ in range(m))
+                                   for _ in range(m)))
+            for _ in range(n))
+        bm = PreJJBimodule(alg, maps(), maps())
+        total = len(report_from_defects("", field, _bimodule_oracle(bm), 10 ** 6)
+                    .witnesses)
+        for cap in range(1, total + 2):
+            got = check_prejj_bimodule(bm, cap)
+            want = report_from_defects("prejj_bimodule", field,
+                                       _bimodule_oracle(bm), cap)
+            assert got == want
+        tags |= {w.tag for w in got.witnesses}
+    assert {"left", "mixed", "right"} <= tags
 
 
 def test_displayed_variant_diverges_from_operational():
