@@ -57,7 +57,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .fields import QQ, PrimeField, RationalField, field_inverse, normalize, prime_field
+from .fields import QQ, PrimeField, RationalField, prime_field
 from .linalg import LinearMap
 from .matched import (
     JJMatchedPair,

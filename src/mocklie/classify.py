@@ -19,21 +19,18 @@ and, for p > 2, diag(w, 1, ..., 1) with w the smallest primitive root mod
 p).  The group is finite, so the closure under the generators is the whole
 orbit.  Everything is deterministic: solutions are produced in
 lexicographic order, orbit representatives are the lexicographically
-smallest members, censuses compare byte-identical across runs and worker
-counts.
+smallest members, censuses compare byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .algebra import (Algebra, IDENTITY_KINDS, _DEFECT_GENERATORS,
                       default_labels, product)
-from .errors import FieldError, MockLieError, ShapeError
+from .errors import FieldError, ShapeError
 from .fields import PrimeField, characteristic_warnings
 from .linalg import LinearMap, combination
 
@@ -222,34 +219,16 @@ def _equations(n: int, p: int, kind: str) -> tuple:
                      for poly in defect), n ** 3, p)
 
 
-def _solve_subtree(p: int, n: int, kind: str, firsts, max_scan: int) -> tuple[list, int]:
-    """Solutions of ``kind`` whose first constant is in ``firsts``, in lex
-    order, and the number of (variable, value) assignments tried: one census
-    task, defined at module level so worker processes can run it."""
-    stats = {"visited": 0}
-    domains = [firsts] + [range(p)] * (n ** 3 - 1)
-    solutions = list(_solve(_equations(n, p, kind), domains, p, stats, max_scan))
-    return solutions, stats["visited"]
-
-
-def pool_size(workers: int, tasks: int) -> int:
-    """Worker processes to start for ``tasks`` independent tasks."""
-    if workers < 1:
-        raise MockLieError(f"workers must be at least 1, got {workers}")
-    return min(workers, tasks, os.cpu_count() or 1)
-
-
 def enumerate_solutions(dim: int, field, kind: str,
-                        max_scan: int = DEFAULT_MAX_SCAN, workers: int = 1,
+                        max_scan: int = DEFAULT_MAX_SCAN,
                         stats: dict | None = None) -> list[ConstantTuple]:
     """All structure-constant tuples of dimension ``dim`` passing ``kind``.
 
     The identity's equations are solved over GF(p) by ``_solve``, fixing
     the constants in lexicographic order with ascending values; solutions
-    come out in lexicographic order.  Up to ``workers`` processes share the
-    subtrees of the first constant; a ``stats`` dict receives ``visited``,
-    the assignments tried.  Past ``max_scan`` of them, in one subtree or in
-    sum, ``FieldError`` is raised whatever ``workers`` is; past dim 3, ``ShapeError``.
+    come out in lexicographic order.  A ``stats`` dict receives ``visited``,
+    the assignments tried.  Past ``max_scan`` of them, ``FieldError``; past
+    dim 3, ``ShapeError``.
     """
     if kind not in IDENTITY_KINDS:
         raise FieldError(f"unknown identity kind {kind!r}")
@@ -259,20 +238,10 @@ def enumerate_solutions(dim: int, field, kind: str,
     if p > max_scan:
         # every search tries each value of the first constant
         raise FieldError(_SEARCH_LIMIT.format(max_scan))
-    size = pool_size(workers, p)
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            subtrees = list(pool.map(_solve_subtree, [p] * p, [dim] * p,
-                                     [kind] * p, [(v,) for v in range(p)],
-                                     [max_scan] * p))
-    else:
-        subtrees = [_solve_subtree(p, dim, kind, range(p), max_scan)]
-    visited = sum(count for _, count in subtrees)
-    if visited > max_scan:
-        raise FieldError(_SEARCH_LIMIT.format(max_scan))
-    if stats is not None:
-        stats["visited"] = visited
-    return [ConstantTuple(dim, c) for sols, _ in subtrees for c in sols]
+    stats = {} if stats is None else stats
+    stats["visited"] = 0
+    return [ConstantTuple(dim, c) for c in _solve(
+        _equations(dim, p, kind), [range(p)] * dim ** 3, p, stats, max_scan)]
 
 
 @lru_cache(maxsize=None)
@@ -406,21 +375,20 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
 
 
 def classify(dim: int, field: PrimeField, kind: str,
-             max_scan: int = DEFAULT_MAX_SCAN, workers: int = 1) -> OrbitCensus:
+             max_scan: int = DEFAULT_MAX_SCAN) -> OrbitCensus:
     """Census of all solutions of ``kind`` in dimension 1 or 2 over GF(p).
 
     Solutions are grouped into GL-orbits by expanding each unassigned
     solution under ``_gl_generators``; every image must itself be a solution,
     or the identity is not basis-invariant and ``FieldError`` is raised.
     Each orbit is named by its lexicographically smallest member, and orbits
-    come in the order of their first solution.  Output is deterministic for
-    any worker count.  ``max_scan`` bounds the assignments the solver tries.
+    come in the order of their first solution, so the output is
+    deterministic.  ``max_scan`` bounds the assignments the solver tries.
     """
     if dim not in (1, 2):
         raise ShapeError("classification is implemented for dimensions 1 and 2")
     stats = {}
-    solutions = enumerate_solutions(dim, field, kind, max_scan=max_scan,
-                                    workers=workers, stats=stats)
+    solutions = enumerate_solutions(dim, field, kind, max_scan=max_scan, stats=stats)
     p = field.p
     tuples = [s.entries for s in solutions]
     solution_set = set(tuples)
@@ -456,7 +424,7 @@ def classify(dim: int, field: PrimeField, kind: str,
         metadata={
             "scanned": p ** (dim ** 3),
             "gl_order": gl_order(p, dim),
-            "workers": workers,
+            "workers": 1,
             "visited": stats["visited"],
         },
     )

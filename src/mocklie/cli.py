@@ -90,6 +90,8 @@ def _load_json(path):
     except ValueError:
         # int() refuses integer literals past the interpreter's digit limit
         raise CliError(f"{path}: integer has too many digits") from None
+    except RecursionError:
+        raise CliError(f"{path}: arrays or objects nested too deeply") from None
 
 
 def _parse(path, parse, obj, *args):
@@ -208,7 +210,7 @@ def cmd_double(args):
 def cmd_classify(args):
     field = PrimeField(args.prime)
     census = classify(args.dim, field, IDENTITY_ALIASES.get(args.kind, args.kind),
-                      max_scan=args.max_scan, workers=args.workers)
+                      max_scan=args.max_scan)
     _write(args.out, dumps(census_to_json(census)))
     return 0
 
@@ -309,7 +311,6 @@ def build_parser():
     p.add_argument("--dim", type=int, required=True, choices=(1, 2))
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--kind", default="antiassoc")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-scan", type=int, default=DEFAULT_MAX_SCAN,
                    help="bound on the (variable, value) assignments the solver tries")
     common(p, field=False)

@@ -24,8 +24,6 @@ __all__ = [
     "PrimeField",
     "QQ",
     "prime_field",
-    "normalize",
-    "field_inverse",
     "SMALL_CHARACTERISTIC_WARNING",
 ]
 
@@ -93,12 +91,16 @@ class RationalField:
         return 1 / a
 
     def parse(self, text: str) -> Fraction:
-        return normalize(*_parse_ratio(text, self))
+        return Fraction(*_parse_ratio(text, self))
 
     def render(self, a) -> str:
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        try:
+            if a.denominator == 1:
+                return str(a.numerator)
+            return f"{a.numerator}/{a.denominator}"
+        except ValueError:
+            # str() refuses integers past the interpreter's digit limit
+            raise FieldError("scalar has too many digits to render") from None
 
     def __repr__(self):
         return "QQ"
@@ -189,15 +191,6 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def normalize(raw_numerator: int, raw_denominator: int) -> Fraction:
-    """Canonical rational from an integer pair.
-
-    The sign lands on the numerator, gcd is divided out and zero is ``0/1``.
-    A zero denominator raises ``ZeroDivisionError``.
-    """
-    return Fraction(raw_numerator, raw_denominator)
-
-
 def _parse_ratio(text: str, field: Field) -> tuple[int, int]:
     """``"a"`` or ``"a/b"`` as the integer pair (a, b), b nonzero."""
     text = text.strip()
@@ -209,11 +202,6 @@ def _parse_ratio(text: str, field: Field) -> tuple[int, int]:
     if ratio[1] == 0:
         raise FieldError(f"cannot parse {text!r} as a scalar of {field!r}")
     return ratio
-
-
-def field_inverse(field: Field, value):
-    """Multiplicative inverse of ``value`` in ``field``; 0 is rejected."""
-    return field.inv(value)
 
 
 def require_same_field(f1: Field, f2: Field) -> None:

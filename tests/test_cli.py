@@ -116,6 +116,7 @@ def test_semidirect_bimodule_container(tmp_path):
     ("table", "--max-witnesses"),
     ("classify", "--field"),
     ("semidirect", "--field"),
+    ("classify", "--workers"),  # the census runs in one process
 ])
 def test_verb_refuses_options_it_would_ignore(tmp_path, capsys, verb, option):
     square = class_algebra("e1e1=e2")
@@ -228,11 +229,10 @@ def test_classify_f2_census_matches_oracle(tmp_path):
 def test_classify_infeasible(tmp_path, capsys):
     # the dim-2 GF(5) census tries 8,220 assignments, past --max-scan 1000
     out = tmp_path / "c.json"
-    for workers in ("1", "2"):
-        assert main(["classify", "--dim", "2", "--prime", "5", "--max-scan", "1000",
-                     "--workers", workers, "--out", str(out)]) == 2
-        assert_one_error_line(capsys, "more than 1000 assignments")
-        assert not out.exists()
+    assert main(["classify", "--dim", "2", "--prime", "5", "--max-scan", "1000",
+                 "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "more than 1000 assignments")
+    assert not out.exists()
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--dim", "3", "--prime", "2", "--out", str(out)])
     assert exc.value.code == 2
@@ -265,23 +265,12 @@ def test_classify_large_prime_census(tmp_path):
     })
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_classify_prime_past_max_scan_is_refused(tmp_path, capsys, workers):
+def test_classify_prime_past_max_scan_is_refused(tmp_path, capsys):
     # the search tries every value of the first constant, 10^24 + 7 of them
     out = tmp_path / "c.json"
     assert main(["classify", "--dim", "1", "--prime", str(10 ** 24 + 7),
-                 "--workers", workers, "--out", str(out)]) == 2
+                 "--out", str(out)]) == 2
     assert_one_error_line(capsys, "more than 10000000 assignments")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_classify_rejects_nonpositive_workers(tmp_path, capsys, workers):
-    out = tmp_path / "c.json"
-    assert main(["classify", "--dim", "1", "--prime", "5",
-                 "--workers", workers, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "workers" in err[0]
     assert not out.exists()
 
 
@@ -434,6 +423,32 @@ def test_check_integer_past_the_digit_limit(tmp_path, capsys):
     path.write_text(text.replace('"dim": 2', '"dim": ' + "9" * 5000))
     assert main(["check", str(path), "--identity", "jj"]) == 2
     assert_one_error_line(capsys, str(path), "digits")
+
+
+def test_check_deeply_nested_json(tmp_path, capsys):
+    # json.load recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    start = time.perf_counter()
+    assert main(["check", str(path), "--identity", "jj"]) == 2
+    assert time.perf_counter() - start < 1
+    assert_one_error_line(capsys, str(path), "nested")
+
+
+def test_check_defect_past_the_digit_limit(tmp_path, capsys):
+    # a 2,200-digit coefficient loads and renders, but e1e1 = c e1 fails jj
+    # with defect 3c^2, about 4,400 digits: past str()'s limit
+    c = 10 ** 2199 + 7
+    path = write_algebra(tmp_path / "big.json",
+                         Algebra.from_products(QQ, 1, {(0, 0): (c,)}))
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main(["check", path, "--identity", "jj", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    assert_one_error_line(capsys, "digits")
+    assert not out.exists()
+    assert main(["table", path, "--out", str(out)]) == 0
+    assert str(c) in out.read_text()
 
 
 @pytest.mark.parametrize("key", ["l", "r"])
