@@ -265,10 +265,11 @@ def test_classify_large_prime_census(tmp_path):
     })
 
 
-def test_classify_prime_past_max_scan_is_refused(tmp_path, capsys):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_classify_prime_past_max_scan_is_refused(tmp_path, capsys, dim):
     # the search tries every value of the first constant, 10^24 + 7 of them
     out = tmp_path / "c.json"
-    assert main(["classify", "--dim", "1", "--prime", str(10 ** 24 + 7),
+    assert main(["classify", "--dim", str(dim), "--prime", str(10 ** 24 + 7),
                  "--out", str(out)]) == 2
     assert_one_error_line(capsys, "more than 10000000 assignments")
     assert not out.exists()
