@@ -13,6 +13,7 @@ from .algebra import (
     IDENTITY_KINDS,
     Witness,
     ad,
+    algebra_from_tuple,
     antiassociator,
     apply_basis_change,
     check_identity,
@@ -25,16 +26,14 @@ from .algebra import (
     right_mult,
     structure_equal,
     sub_adjacent,
+    tuple_from_algebra,
 )
 from .classify import (
-    ConstantTuple,
     Orbit,
     OrbitCensus,
-    algebra_from_tuple,
     classify,
     enumerate_solutions,
     find_isomorphism,
-    tuple_from_algebra,
 )
 from .doubles import (
     BilinearForm,

@@ -10,6 +10,10 @@ Each defect is one ``linalg.combination`` of the rows ``c[i]`` (the products
 e_i e_m) and the columns e_m e_k, taken once per generator call; ``product``
 and ``left_mult`` go through the same kernel.
 
+``transport_constants`` is the one basis-change loop, on the n^3-tuples of
+``tuple_from_algebra``; ``apply_basis_change`` and the census orbits in
+``classify`` both run it.
+
 Identity kinds
 --------------
 ``antiassociative``   (x*y)*z = -x*(y*z)
@@ -361,6 +365,52 @@ def opposite(alg: Algebra) -> Algebra:
     return Algebra(alg.field, alg.labels, table)
 
 
+def algebra_from_tuple(field: Field, dim: int, entries, labels=None) -> Algebra:
+    """Unflatten n^3 structure constants in (i, j, k) lex order into an Algebra."""
+    it = iter(entries)
+    tensor = [[[next(it) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    return Algebra.from_tensor(field, tensor, labels=labels)
+
+
+def tuple_from_algebra(alg: Algebra) -> tuple:
+    """The structure constants of ``alg`` flattened in (i, j, k) lex order."""
+    return tuple(x for row in alg.c for vec in row for x in vec)
+
+
+def transport_constants(c: tuple, flat_p: tuple, flat_p_inv: tuple, n: int,
+                        modulus: int) -> tuple:
+    """Flat structure constants ``c`` rewritten in the basis f_i = P e_i.
+
+    ``c`` holds n^3 constants in (i, j, k) lex order and ``flat_p``,
+    ``flat_p_inv`` hold P and P^-1, row-major; entry (i, j) of the result is
+    P^-1 (f_i f_j), mod ``modulus``, or exact when it is 0.  As in
+    ``linalg.combination``, zero entries of P, zero constants and zero
+    partial sums are skipped.
+    """
+    cols = [[(a, flat_p[a * n + i]) for a in range(n) if flat_p[a * n + i]]
+            for i in range(n)]
+    inv_rows = [flat_p_inv[k * n:(k + 1) * n] for k in range(n)]
+    out = []
+    for col_i in cols:
+        for col_j in cols:
+            # w = f_i f_j = sum over a, b of P[a][i] P[b][j] (e_a e_b)
+            w = [0] * n
+            for a, pa in col_i:
+                for b, pb in col_j:
+                    s = pa * pb
+                    base = (a * n + b) * n
+                    for k, x in enumerate(c[base:base + n]):
+                        if x:
+                            w[k] += s * x
+            if modulus:
+                w = [x % modulus for x in w]
+            terms = [(t, x) for t, x in enumerate(w) if x]
+            for row in inv_rows:
+                s = sum([row[t] * x for t, x in terms])
+                out.append(s % modulus if modulus else s)
+    return tuple(out)
+
+
 def apply_basis_change(alg: Algebra, p: LinearMap) -> Algebra:
     """Transport the structure constants along an invertible matrix.
 
@@ -372,18 +422,10 @@ def apply_basis_change(alg: Algebra, p: LinearMap) -> Algebra:
     if p.rows != alg.dim or p.cols != alg.dim:
         raise ShapeError("basis-change matrix shape does not match the algebra")
     p_inv = p.inverse()  # raises ShapeError when singular
-    f = alg.field
-    n = alg.dim
-    new_c = []
-    for i in range(n):
-        row = []
-        fi = p.column(i)
-        for j in range(n):
-            fj = p.column(j)
-            w = product(alg, fi, fj)
-            row.append(p_inv.apply(w))
-        new_c.append(tuple(row))
-    return Algebra(f, alg.labels, tuple(new_c))
+    c = transport_constants(tuple_from_algebra(alg), tuple(itertools.chain(*p.entries)),
+                            tuple(itertools.chain(*p_inv.entries)), alg.dim,
+                            alg.field.characteristic)
+    return algebra_from_tuple(alg.field, alg.dim, c, alg.labels)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:

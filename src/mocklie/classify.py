@@ -1,8 +1,8 @@
 """Censuses and isomorphism search by solving polynomial equations.
 
-Structure constants of a dim-n algebra are flattened to length-n^3 tuples in
-lexicographic (i, j, k) order; for n = 2 the order is (a1, a2, b1, b2, c1, c2,
-d1, d2) matching e1e1 = a1 e1 + a2 e2, e1e2 = b1 e1 + b2 e2, e2e1 = ...,
+Solutions are plain tuples of structure constants, flattened as in
+``algebra.tuple_from_algebra``: for n = 2 the order is (a1, a2, b1, b2, c1,
+c2, d1, d2), matching e1e1 = a1 e1 + a2 e2, e1e2 = b1 e1 + b2 e2, e2e1 = ...,
 e2e2 = ....  The equations of each identity kind come from its defect
 generator in ``algebra``, the same code ``check_identity`` runs: run over
 an algebra whose constants are variables, it yields integer equations,
@@ -13,23 +13,25 @@ variables one by one in index order and checks each equation as soon as
 its highest variable is fixed, so whole subtrees of the search space are
 cut at once.  Its one guard is ``max_scan``, on the assignments it tries.
 
-Orbits are computed without listing GL_n(F_p): each unassigned solution is
-expanded under a generating set of the group (the transvections I + E_ij
-and, for p > 2, diag(w, 1, ..., 1) with w the smallest primitive root mod
-p).  The group is finite, so the closure under the generators is the whole
-orbit.  Everything is deterministic: solutions are produced in
-lexicographic order, orbit representatives are the lexicographically
-smallest members, censuses compare byte-identical across runs.
+Orbits are computed without listing GL_n(F_p): ``transport_tuple``, the
+basis-change kernel ``algebra.transport_constants`` with a cached inverse,
+expands each unassigned solution under a generating set of the group (the
+transvections I + E_ij and, for p > 2, diag(w, 1, ..., 1) with w the
+smallest primitive root mod p).  The group is finite, so the closure under
+the generators is the whole orbit.  Everything is deterministic: solutions
+are produced in lexicographic order, orbit representatives are the
+lexicographically smallest members, censuses compare byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .algebra import (Algebra, IDENTITY_KINDS, _DEFECT_GENERATORS,
-                      default_labels, product)
+                      default_labels, product, transport_constants)
 from .errors import FieldError, ShapeError
 from .fields import PrimeField, characteristic_warnings
 from .linalg import LinearMap, combination
@@ -37,18 +39,6 @@ from .linalg import LinearMap, combination
 DEFAULT_MAX_SCAN = 10_000_000
 _SEARCH_LIMIT = "search tried more than {} assignments; raise max_scan to force it"
 _MAX_UNKNOWNS = 27  # a dim-3 census, or a dim-5 basis change
-
-
-@dataclass(frozen=True)
-class ConstantTuple:
-    """Flattened structure constants of one algebra, in (i, j, k) lex order."""
-
-    dim: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.dim ** 3:
-            raise ShapeError("constant tuple length must be dim^3")
 
 
 @dataclass(frozen=True)
@@ -72,19 +62,6 @@ class OrbitCensus:
     def __post_init__(self):
         if sum(o.size for o in self.orbits) != self.total:
             raise ShapeError("orbit sizes must sum to the solution count")
-
-
-def algebra_from_tuple(field, dim: int, entries, labels=None) -> Algebra:
-    """Unflatten a constant tuple into an Algebra."""
-    it = iter(entries)
-    tensor = [
-        [[next(it) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)
-    ]
-    return Algebra.from_tensor(field, tensor, labels=labels or default_labels(dim))
-
-
-def tuple_from_algebra(alg: Algebra) -> tuple:
-    return tuple(x for row in alg.c for vec in row for x in vec)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +150,22 @@ def _solve(equations, domains, modulus: int, stats: dict, max_scan: int):
     entering depth d each equation filed under x_d is evaluated once on the
     fixed prefix, leaving a * v^2 + b * v + k to test per candidate value v,
     by ``% modulus == 0``, or by ``== 0`` when the modulus is 0; the values
-    that pass one equation go on to the next.  ``stats["visited"]`` grows by
-    each entered depth's domain size, before filtering; past ``max_scan``, ``FieldError``.
+    that pass one equation go on to the next.  ``stats["visited"]`` counts
+    the sizes of the domains entered, before filtering; past ``max_scan``,
+    ``FieldError``.  So a domain larger than ``max_scan``, or too large to
+    count, raises ``FieldError`` before the search.
     """
+    for values in domains:
+        try:
+            too_many = len(values) > max_scan
+        except OverflowError:  # len() stops at sys.maxsize
+            if max_scan >= sys.maxsize:
+                raise FieldError(f"a search domain of more than {sys.maxsize} "
+                                 "values is too large to count") from None
+            too_many = True
+        if too_many:
+            raise FieldError(_SEARCH_LIMIT.format(max_scan))
+    stats["visited"] = 0
     last = len(domains) - 1
     vals = [0] * (last + 1) + [1]
 
@@ -221,7 +211,7 @@ def _equations(n: int, p: int, kind: str) -> tuple:
 
 def enumerate_solutions(dim: int, field, kind: str,
                         max_scan: int = DEFAULT_MAX_SCAN,
-                        stats: dict | None = None) -> list[ConstantTuple]:
+                        stats: dict | None = None) -> list[tuple]:
     """All structure-constant tuples of dimension ``dim`` passing ``kind``.
 
     The identity's equations are solved over GF(p) by ``_solve``, fixing
@@ -235,21 +225,14 @@ def enumerate_solutions(dim: int, field, kind: str,
     if not isinstance(field, PrimeField):
         raise FieldError(f"enumeration needs a prime field, got {field!r}")
     p = field.p
-    if p > max_scan:
-        # every search tries each value of the first constant
-        raise FieldError(_SEARCH_LIMIT.format(max_scan))
-    stats = {} if stats is None else stats
-    stats["visited"] = 0
-    return [ConstantTuple(dim, c) for c in _solve(
-        _equations(dim, p, kind), [range(p)] * dim ** 3, p, stats, max_scan)]
+    return list(_solve(_equations(dim, p, kind), [range(p)] * dim ** 3, p,
+                       {} if stats is None else stats, max_scan))
 
 
 @lru_cache(maxsize=None)
 def _inverse(flat_p: tuple, n: int, p: int) -> tuple:
-    """Inverse of an n x n matrix over GF(p), both flat row-major tuples.
-
-    Raises ``ShapeError`` when ``flat_p`` is singular.
-    """
+    """Inverse of an n x n matrix over GF(p), both flat row-major tuples;
+    ``ShapeError`` when ``flat_p`` is singular."""
     rows = tuple(flat_p[r * n:(r + 1) * n] for r in range(n))
     inverse = LinearMap(PrimeField(p), rows).inverse()
     return tuple(x for row in inverse.entries for x in row)
@@ -294,33 +277,9 @@ def _gl_generators(p: int, n: int) -> tuple:
 
 
 def transport_tuple(c: tuple, flat_p: tuple, n: int, p: int) -> tuple:
-    """Structure constants in the basis whose columns are given by ``flat_p``.
-
-    Raises ``ShapeError`` when ``flat_p`` is singular.
-    """
-    flat_p_inv = _inverse(flat_p, n, p)
-    cols = [[flat_p[r * n + i] for r in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            w = [0] * n
-            for a in range(n):
-                ca = cols[i][a]
-                if not ca:
-                    continue
-                for b in range(n):
-                    cb = cols[j][b]
-                    if not cb:
-                        continue
-                    s = ca * cb % p
-                    base = (a * n + b) * n
-                    for k in range(n):
-                        w[k] = (w[k] + s * c[base + k]) % p
-            for k in range(n):
-                out.append(
-                    sum(flat_p_inv[k * n + t] * w[t] for t in range(n)) % p
-                )
-    return tuple(out)
+    """``c`` in the basis given by the columns of ``flat_p`` over GF(p);
+    ``ShapeError`` when ``flat_p`` is singular."""
+    return transport_constants(c, flat_p, _inverse(flat_p, n, p), n, p)
 
 
 def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
@@ -347,9 +306,6 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
     n = a.dim
     f = a.field
     entries = range(f.p) if isinstance(f, PrimeField) else range(-bound, bound + 1)
-    if entries.stop - entries.start > max_scan:
-        # the solver tries every value of the first entry
-        raise FieldError(_SEARCH_LIMIT.format(max_scan))
 
     def constants(vec):
         return tuple({(): x} if x != f.zero else {} for x in vec)
@@ -365,8 +321,7 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
                 yield from map(_Polynomials.sub, product(poly_a, cols[i], cols[j]), image)
 
     equations = _compile(polys(), n * n, f.characteristic)
-    for flat in _solve(equations, [entries] * (n * n), f.characteristic,
-                       {"visited": 0}, max_scan):
+    for flat in _solve(equations, [entries] * (n * n), f.characteristic, {}, max_scan):
         mat = LinearMap(f, tuple(tuple(map(f.of, flat[r * n:(r + 1) * n]))
                                  for r in range(n)))
         if mat.is_invertible():
@@ -388,9 +343,8 @@ def classify(dim: int, field: PrimeField, kind: str,
     if dim not in (1, 2):
         raise ShapeError("classification is implemented for dimensions 1 and 2")
     stats = {}
-    solutions = enumerate_solutions(dim, field, kind, max_scan=max_scan, stats=stats)
+    tuples = enumerate_solutions(dim, field, kind, max_scan=max_scan, stats=stats)
     p = field.p
-    tuples = [s.entries for s in solutions]
     solution_set = set(tuples)
     gens = _gl_generators(p, dim)
     assigned = set()

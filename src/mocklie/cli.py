@@ -107,7 +107,7 @@ def _parse(path, parse, obj, *args):
 def _load_algebra(path, field=None):
     alg = _parse(path, algebra_from_json, _load_json(path))
     if field is not None:
-        alg = coerce_algebra(alg, field)
+        alg = _parse(path, coerce_algebra, alg, field)
     return alg
 
 
@@ -187,10 +187,6 @@ def cmd_double(args):
     field = _parse_field(args.field)
     primal = _load_algebra(args.file_a, field)
     dual = _load_algebra(args.file_astar, field)
-    if primal.dim != dual.dim:
-        raise CliError(
-            f"dimension mismatch: {primal.dim} vs {dual.dim}"
-        )
     if args.kind == "jj":
         double = assemble_jj_double(primal, dual)
     else:

@@ -149,26 +149,20 @@ def build_prejj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
     return assemble_prejj_double(primal, dual)
 
 
-def jj_matched_pair_from_duals(primal: Algebra, dual: Algebra,
-                               sign: int = -1) -> JJMatchedPair:
-    """JJ matched-pair candidate (G(A), G(A*)) acting by sign * (L+R)^T.
+def jj_matched_pair_from_duals(primal: Algebra, dual: Algebra) -> JJMatchedPair:
+    """JJ matched-pair candidate (G(A), G(A*)) acting by -(L+R)^T.
 
-    The default ``sign=-1`` applies the negated-transpose convention
-    literally.  Negating a representation rho flips the representation
-    condition by 2*rho(x*y), so the two signs can only both qualify when the
-    lifted operators kill all products; that holds for every dim-2 pre-JJ
-    algebra over the supported fields, where the two conventions are
-    therefore indistinguishable (the sign-guard tests pin this down).
+    Negating a representation rho flips the representation condition by
+    2*rho(x*y), so +(L+R)^T can only qualify alongside it when the lifted
+    operators kill all products; that holds for every dim-2 pre-JJ algebra
+    over the supported fields, where the two signs are therefore
+    indistinguishable (the sign-guard test pins this down).
     """
     _require_dual_pair(primal, dual)
-    f = primal.field
-    s = f.of(sign)
 
     def lifted(alg):
         reg = PreJJBimodule.regular(alg)
-        return tuple(
-            l.add(r).transpose().scale(s) for l, r in zip(reg.left, reg.right)
-        )
+        return tuple(l.add(r).transpose().neg() for l, r in zip(reg.left, reg.right))
 
     return JJMatchedPair(
         sub_adjacent(primal), sub_adjacent(dual), lifted(primal), lifted(dual)

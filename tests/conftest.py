@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from mocklie.algebra import algebra_from_tuple
 from mocklie.catalog import class_algebras
-from mocklie.classify import algebra_from_tuple, enumerate_solutions
+from mocklie.classify import enumerate_solutions
 from mocklie.errors import PreconditionError
 from mocklie.fields import QQ, prime_field
 from mocklie.linalg import LinearMap
@@ -31,12 +32,12 @@ def classes_f5():
 @pytest.fixture(scope="session")
 def f5_prejj_algebras():
     sols = enumerate_solutions(2, GF5, "left_pre_jj")
-    return tuple(algebra_from_tuple(GF5, 2, s.entries) for s in sols)
+    return tuple(algebra_from_tuple(GF5, 2, s) for s in sols)
 
 
 @pytest.fixture(scope="session")
 def f5_anti_solutions():
-    return tuple(s.entries for s in enumerate_solutions(2, GF5, "antiassociative"))
+    return tuple(enumerate_solutions(2, GF5, "antiassociative"))
 
 
 def outcome(thunk):

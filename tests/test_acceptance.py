@@ -34,6 +34,7 @@ from conftest import (
 from mocklie.algebra import (
     Witness,
     ad,
+    algebra_from_tuple,
     check_identity,
     left_mult,
     op_anticommutator,
@@ -41,15 +42,10 @@ from mocklie.algebra import (
     product,
     right_mult,
     sub_adjacent,
-)
-from mocklie.catalog import CASE_NAMES, case_inputs, case_table, class_algebras
-from mocklie.classify import (
-    algebra_from_tuple,
-    classify,
-    enumerate_solutions,
-    transport_tuple,
     tuple_from_algebra,
 )
+from mocklie.catalog import CASE_NAMES, case_inputs, case_table, class_algebras
+from mocklie.classify import classify, enumerate_solutions, transport_tuple
 from mocklie.doubles import (
     assemble_prejj_double,
     build_prejj_double,
@@ -123,14 +119,14 @@ def _report(num, failures, detail=""):
 @pytest.fixture(scope="module")
 def f5_prejj_pool():
     sols = enumerate_solutions(2, GF5, "left_pre_jj")
-    return tuple(algebra_from_tuple(GF5, 2, s.entries) for s in sols)
+    return tuple(algebra_from_tuple(GF5, 2, s) for s in sols)
 
 
 def _criterion4_samples(count):
     """The shared random (l, r) candidate stream for criteria 4 and 5."""
     rng = seeded(1004)
     sols = enumerate_solutions(2, GF5, "left_pre_jj")
-    pool = tuple(algebra_from_tuple(GF5, 2, s.entries) for s in sols)
+    pool = tuple(algebra_from_tuple(GF5, 2, s) for s in sols)
     for trial in range(count):
         alg = pool[rng.randrange(len(pool))]
         if trial % 6 == 0:
@@ -459,7 +455,7 @@ def test_criterion_11_classification():
     if census2.total != len(oracle) or members2 != oracle:
         failures.append("dim-2 census over GF(2) differs from the 256-tuple oracle")
     census5 = classify(2, GF5, "antiassociative")
-    solution_set = {s.entries for s in enumerate_solutions(2, GF5, "antiassociative")}
+    solution_set = set(enumerate_solutions(2, GF5, "antiassociative"))
     class_tuples = {name: tuple_from_algebra(alg)
                     for name, alg in class_algebras(GF5).items()}
     # A(e2,e1,e1) = e2 (criterion 1), so "e2e1=e2" is no solution.

@@ -10,6 +10,7 @@ from mocklie.algebra import (
     Algebra,
     IDENTITY_KINDS,
     ad,
+    algebra_from_tuple,
     antiassociator,
     apply_basis_change,
     check_identity,
@@ -23,9 +24,8 @@ from mocklie.algebra import (
     structure_equal,
     sub_adjacent,
 )
-from mocklie.classify import algebra_from_tuple
 from mocklie.errors import FieldError, MixedFieldError, ShapeError
-from mocklie.fields import QQ
+from mocklie.fields import QQ, prime_field
 from mocklie.linalg import LinearMap
 
 
@@ -403,6 +403,33 @@ def test_basis_change_preserves_verdicts(classes_f5, f5_prejj_algebras):
         moved = apply_basis_change(alg, p)
         for kind in IDENTITY_KINDS:
             assert passes_identity(moved, kind) == passes_identity(alg, kind)
+
+
+@pytest.mark.parametrize("density", [0.25, 1.0], ids=["sparse", "dense"])
+@pytest.mark.parametrize("field", [QQ, prime_field(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_basis_change_against_products(n, field, density):
+    # the oracle multiplies in A with ``product`` and maps back with
+    # ``LinearMap.apply``: P (f_i f_j in B) = (P e_i)(P e_j) in A
+    rng = seeded(100 * n + int(10 * density))
+
+    def scalar():
+        if rng.random() >= density:
+            return field.zero
+        return field.of(f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}")
+
+    for _ in range(3):
+        alg = Algebra.from_tensor(
+            field, [[[scalar() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+        while True:
+            p = LinearMap(field, tuple(tuple(scalar() for _ in range(n)) for _ in range(n)))
+            if p.is_invertible():
+                break
+        moved = apply_basis_change(alg, p)
+        for i in range(n):
+            for j in range(n):
+                assert p.apply(moved.c[i][j]) == product(alg, p.column(i), p.column(j))
+        assert apply_basis_change(moved, p.inverse()) == alg
 
 
 def test_basis_change_field_mismatch(classes_qq):

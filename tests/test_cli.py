@@ -191,10 +191,14 @@ def test_double_case_name_reads_the_packaged_fixture(case_one_files, tmp_path, k
     assert len(json.loads(runs[0][1])["conformance"]) == 16
 
 
-def test_double_dimension_mismatch(tmp_path, case_one_files):
+def test_double_dimension_mismatch(tmp_path, capsys, case_one_files):
     other = write_algebra(tmp_path / "dim3.json", Algebra.zero(QQ, 3))
-    assert main(["double", case_one_files[0], other,
-                 "--out", str(tmp_path / "d.json")]) == 2
+    out = tmp_path / "d.json"
+    for kind in ("prejj", "jj"):
+        assert main(["double", case_one_files[0], other, "--kind", kind,
+                     "--out", str(out)]) == 2
+        assert_one_error_line(capsys, "equal dimension")
+        assert not out.exists()
 
 
 def test_double_jj_kind(tmp_path):
@@ -272,6 +276,16 @@ def test_classify_prime_past_max_scan_is_refused(tmp_path, capsys, dim):
     assert main(["classify", "--dim", str(dim), "--prime", str(10 ** 24 + 7),
                  "--out", str(out)]) == 2
     assert_one_error_line(capsys, "more than 10000000 assignments")
+    assert not out.exists()
+
+
+def test_classify_prime_too_large_to_count_is_refused(tmp_path, capsys):
+    # within --max-scan, but the 10^24 + 7 values of a constant are past
+    # what len() counts
+    out = tmp_path / "c.json"
+    assert main(["classify", "--dim", "1", "--prime", str(10 ** 24 + 7),
+                 "--max-scan", str(10 ** 29), "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "too large to count")
     assert not out.exists()
 
 
@@ -377,14 +391,22 @@ def test_check_malformed_scalar_exit_code(tmp_path, capsys, text):
     lambda doc: doc.update(field={"kind": "prime", "p": None}),
     lambda doc: doc.update(dim=2.5),
     lambda doc: doc.update(dim=33, basis=[], products=[]),
+    lambda doc: doc["products"][0].update(i=2),
+    lambda doc: doc["products"][0].update(j=-1),
+    lambda doc: doc["products"][0].update(coeffs=["1"]),
+    lambda doc: doc.update(basis=["e1", []]),
+    lambda doc: doc.update(basis=[1, None]),
+    # the file is well formed, but 1/5 has no value mod 5
+    lambda doc: doc["products"][0].update(coeffs=["0", "1/5"]) or ["--field", "prime:5"],
 ], ids=["dim-abc", "basis-5", "products-5", "coeffs-5", "i-a", "p-x", "p-null",
-        "dim-2.5", "dim-33"])
+        "dim-2.5", "dim-33", "i-2", "j-minus-1", "coeffs-short", "basis-list-label",
+        "basis-int-null-labels", "coerce-1/5-mod-5"])
 def test_check_malformed_algebra_document(tmp_path, capsys, edit):
     doc = algebra_to_json(class_algebra("e1e1=e2"))
-    edit(doc)
+    flags = edit(doc) or []
     path = tmp_path / "bad.json"
     path.write_text(dumps(doc))
-    assert main(["check", str(path), "--identity", "jj"]) == 2
+    assert main(["check", str(path), "--identity", "jj", *flags]) == 2
     assert_one_error_line(capsys, str(path))
 
 

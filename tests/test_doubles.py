@@ -5,13 +5,13 @@ import pytest
 from conftest import GF5, outcome, seeded
 from mocklie.algebra import (
     Algebra,
+    algebra_from_tuple,
     check_identity,
     passes_identity,
     structure_equal,
     sub_adjacent,
 )
 from mocklie.catalog import CASE_NAMES, case_inputs, case_table
-from mocklie.classify import algebra_from_tuple
 from mocklie.doubles import (
     BilinearForm,
     assemble_jj_double,
@@ -301,13 +301,11 @@ def test_dual_lift_sign_is_immaterial_in_dimension_two(f5_prejj_algebras):
     for _ in range(25):
         a = f5_prejj_algebras[rng.randrange(len(f5_prejj_algebras))]
         b = f5_prejj_algebras[rng.randrange(len(f5_prejj_algebras))]
-        minus = outcome(
-            lambda: check_jj_matched_pair(jj_matched_pair_from_duals(a, b, sign=-1))
-        )
-        plus = outcome(
-            lambda: check_jj_matched_pair(jj_matched_pair_from_duals(a, b, sign=1))
-        )
-        assert minus == plus
+        minus = jj_matched_pair_from_duals(a, b)
+        plus = dataclasses.replace(minus, rho=tuple(m.neg() for m in minus.rho),
+                                   mu=tuple(m.neg() for m in minus.mu))
+        assert outcome(lambda: check_jj_matched_pair(minus)) == \
+            outcome(lambda: check_jj_matched_pair(plus))
 
 
 @pytest.mark.parametrize("field", [QQ, GF5])

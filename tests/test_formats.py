@@ -8,9 +8,9 @@ import mocklie
 from mocklie import catalog
 
 from conftest import GF5, rand_matrix, random_valid_bimodule, seeded
-from mocklie.algebra import Algebra, check_identity
+from mocklie.algebra import Algebra, algebra_from_tuple, check_identity
 from mocklie.catalog import case_inputs, case_table
-from mocklie.classify import algebra_from_tuple, classify
+from mocklie.classify import classify
 from mocklie.doubles import (
     assemble_prejj_double,
     check_invariance,

@@ -28,13 +28,13 @@ from mocklie.matched import (
 )
 from mocklie.algebra import (
     Algebra,
+    algebra_from_tuple,
     direct_sum,
     left_mult,
     product,
     report_from_defects,
     right_mult,
 )
-from mocklie.classify import algebra_from_tuple
 from mocklie.linalg import vec_add
 from mocklie.matched import _jj_pair_defects, _prejj_pair_defects
 
