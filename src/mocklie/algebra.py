@@ -10,6 +10,13 @@ Each defect is one ``linalg.combination`` of the rows ``c[i]`` (the products
 e_i e_m) and the columns e_m e_k, taken once per generator call; ``product``
 and ``left_mult`` go through the same kernel.
 
+Over QQ the generators run on integers when they can: if every denominator
+of the constants divides the largest one, d, ``_defects`` runs the same
+generator on d*c in a private ring of plain ints and divides each nonzero
+defect back by d (commutators) or d^2.  Otherwise, and over GF(p), it runs
+in the field.  Requiring divisibility keeps the integers as small as d*c;
+the lcm of many coprime denominators would have thousands of digits.
+
 ``transport_constants`` is the one basis-change loop, on the n^3-tuples of
 ``tuple_from_algebra``; ``apply_basis_change`` and the census orbits in
 ``classify`` both run it.
@@ -30,7 +37,9 @@ Identity kinds
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import FieldError, ShapeError
 from .fields import Field, characteristic_warnings, require_same_field
@@ -287,14 +296,39 @@ def passes_identity(alg: Algebra, kind: str) -> bool:
     return all(vec_is_zero(f, defect) for _, defect in _defects(alg, kind))
 
 
+class _Integers:
+    """The ring Z, as much of the field interface as the generators use."""
+
+    zero = 0
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+
+
 def _defects(alg: Algebra, kind: str):
+    """The identity's ``(indices, defect)`` pairs, from its one generator.
+
+    A defect on k basis elements has degree k - 1 in the constants, so on
+    the integer path it is divided back by d^(k-1).
+    """
     try:
         gen = _DEFECT_GENERATORS[kind]
     except KeyError:
         raise FieldError(
             f"unknown identity kind {kind!r}; expected one of {IDENTITY_KINDS}"
         ) from None
-    return gen(alg)
+    if alg.field.characteristic:
+        return gen(alg)
+    dens = [x.denominator for x in tuple_from_algebra(alg)]
+    d = max(dens)
+    if any(d % e for e in dens):
+        return gen(alg)
+    scaled = tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in row)
+                   for row in alg.c)
+    zero = vec_zero(alg.field, alg.dim)
+    return ((indices, tuple(Fraction(x, d ** (len(indices) - 1)) for x in defect)
+             if any(defect) else zero)
+            for indices, defect in gen(Algebra(_Integers, alg.labels, scaled)))
 
 
 def sub_adjacent(alg: Algebra, halved: bool = False) -> Algebra:

@@ -9,6 +9,7 @@ which renders a human-readable multiplication table.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -256,6 +257,7 @@ def cmd_table(args):
     return 0
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mocklie",

@@ -33,8 +33,8 @@ from .algebra import (
     Algebra,
     CheckReport,
     DEFAULT_MAX_WITNESSES,
-    _DEFECT_GENERATORS,
     _block_product,
+    _defects,
     default_labels,
     left_mult,
     report_from_defects,
@@ -57,6 +57,8 @@ def _validate_map_family(alg: Algebra, maps, what: str, size: int | None = None)
     rows, cols = dims.pop()
     if rows != cols:
         raise ShapeError(f"{what}: module maps must be square, got {rows}x{cols}")
+    if rows < 1:
+        raise ShapeError(f"{what}: the module must have positive dimension")
     if size is not None and rows != size:
         raise ShapeError(f"{what}: maps must be {size}x{size}, got {rows}x{rows}")
     for m in maps:
@@ -166,7 +168,7 @@ def _flat_sum(field, m, products, combinations=()):
 
 
 def _algebra_defects(alg: Algebra, kind: str):
-    for indices, defect in _DEFECT_GENERATORS[kind](alg):
+    for indices, defect in _defects(alg, kind):
         yield indices, defect, "algebra"
 
 

@@ -8,7 +8,7 @@ from conftest import GF5, brute_force_antiassociative
 from mocklie.algebra import (Algebra, apply_basis_change, passes_identity,
                              structure_equal, sub_adjacent)
 from mocklie.catalog import case_inputs, case_table_path, class_algebra
-from mocklie.cli import main
+from mocklie.cli import build_parser, main
 from mocklie.fields import QQ
 from mocklie.formats import (
     algebra_from_json,
@@ -518,6 +518,46 @@ def test_semidirect_container_without_module_dim(tmp_path, capsys, jj):
     path.write_text(dumps(doc))
     assert main(["semidirect", str(path)]) == 2
     assert_one_error_line(capsys, str(path), "module_dim")
+
+
+@pytest.mark.parametrize("maps, flags", [(("rho",), ["--jj"]), (("rho",), []),
+                                         (("l", "r"), [])], ids=["rep-jj", "rep", "bimodule"])
+def test_semidirect_container_with_module_dim_zero(tmp_path, capsys, maps, flags):
+    doc = {"algebra": algebra_to_json(Algebra.zero(QQ, 1)), "module_dim": 0}
+    doc.update((key, [[]]) for key in maps)
+    path = tmp_path / "dim0.json"
+    path.write_text(dumps(doc))
+    assert main(["semidirect", str(path), *flags]) == 2
+    assert_one_error_line(capsys, str(path), "module must have positive dimension")
+
+
+def test_cached_parser_gives_the_outputs_of_a_fresh_one(tmp_path):
+    square = write_algebra(tmp_path / "sq.json", class_algebra("e1e1=e2"))
+    third = write_algebra(tmp_path / "third.json", class_algebra("e2e1=e2"))
+    calls = [
+        ["subadjacent", square, "--halved"],
+        ["subadjacent", square],
+        ["check", third, "--identity", "jj", "--field", "prime:5"],
+        ["check", third, "--identity", "jj"],
+        ["check", square, "--identity", "jj", "--kind", "jj"],
+        ["check", square, "--identity", "left-prejj"],
+    ]
+
+    def run(argv, out):
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        return code, out.read_bytes() if out.exists() else None
+
+    cached = [run(argv, tmp_path / f"cached{k}") for k, argv in enumerate(calls)]
+    fresh = []
+    for k, argv in enumerate(calls):
+        build_parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh{k}"))
+    assert cached == fresh
+    assert [code for code, _ in cached] == [0, 0, 1, 1, 2, 0]
+    assert cached[0][1] != cached[1][1] and cached[2][1] != cached[3][1]
 
 
 def test_iso_rational_bound_guard(tmp_path, capsys):
