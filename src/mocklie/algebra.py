@@ -10,12 +10,10 @@ Each defect is one ``linalg.combination`` of the rows ``c[i]`` (the products
 e_i e_m) and the columns e_m e_k, taken once per generator call; ``product``
 and ``left_mult`` go through the same kernel.
 
-Over QQ the generators run on integers when they can: if every denominator
-of the constants divides the largest one, d, ``_defects`` runs the same
-generator on d*c in a private ring of plain ints and divides each nonzero
-defect back by d (commutators) or d^2.  Otherwise, and over GF(p), it runs
-in the field.  Requiring divisibility keeps the integers as small as d*c;
-the lcm of many coprime denominators would have thousands of digits.
+Over QQ, when every structure constant is an integer, ``_defects`` runs the
+same generator on the numerators in a private ring of plain ints, so the
+defects are integers too.  Any other QQ tensor, and every GF(p) one, is
+checked in field arithmetic.
 
 ``transport_constants`` is the one basis-change loop, on the n^3-tuples of
 ``tuple_from_algebra``; ``apply_basis_change`` and the census orbits in
@@ -306,29 +304,18 @@ class _Integers:
 
 
 def _defects(alg: Algebra, kind: str):
-    """The identity's ``(indices, defect)`` pairs, from its one generator.
-
-    A defect on k basis elements has degree k - 1 in the constants, so on
-    the integer path it is divided back by d^(k-1).
-    """
     try:
         gen = _DEFECT_GENERATORS[kind]
     except KeyError:
         raise FieldError(
             f"unknown identity kind {kind!r}; expected one of {IDENTITY_KINDS}"
         ) from None
-    if alg.field.characteristic:
+    if alg.field.characteristic or any(x.denominator != 1 for x in tuple_from_algebra(alg)):
         return gen(alg)
-    dens = [x.denominator for x in tuple_from_algebra(alg)]
-    d = max(dens)
-    if any(d % e for e in dens):
-        return gen(alg)
-    scaled = tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in row)
-                   for row in alg.c)
+    ints = tuple(tuple(tuple(x.numerator for x in v) for v in row) for row in alg.c)
     zero = vec_zero(alg.field, alg.dim)
-    return ((indices, tuple(Fraction(x, d ** (len(indices) - 1)) for x in defect)
-             if any(defect) else zero)
-            for indices, defect in gen(Algebra(_Integers, alg.labels, scaled)))
+    return ((indices, tuple(map(Fraction, defect)) if any(defect) else zero)
+            for indices, defect in gen(Algebra(_Integers, alg.labels, ints)))
 
 
 def sub_adjacent(alg: Algebra, halved: bool = False) -> Algebra:

@@ -1,5 +1,4 @@
 import itertools
-import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +9,7 @@ from conftest import (
     rand_invertible,
     seeded,
 )
+from mocklie import algebra as algebra_module
 from mocklie.algebra import (
     Algebra,
     IDENTITY_KINDS,
@@ -28,6 +28,7 @@ from mocklie.algebra import (
     right_mult,
     structure_equal,
     sub_adjacent,
+    tuple_from_algebra,
 )
 from mocklie.catalog import class_algebra
 from mocklie.errors import FieldError, MixedFieldError, ShapeError
@@ -235,22 +236,18 @@ def _qq_oracle(alg, kind):
 def _random_qq_tensor(rng, n, family):
     """n^3 rationals, about half of them zero, with denominators by family.
 
-    ``integral``: all 1.  ``shared``: divisors of 12, so each divides the
-    largest one present.  ``coprime``: the primes 2, 3, 5 and 7, with 7
-    forced in, so 2 does not divide the largest.
+    ``integral``: all 1.  ``shared``: divisors of 12, with a 1/12 forced in.
+    ``coprime``: the primes 2, 3, 5 and 7, with 1/7 and -1/2 forced in.
     """
     dens = {"integral": (1,), "shared": (1, 2, 3, 4, 6, 12), "coprime": (2, 3, 5, 7)}[family]
     entries = [Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3)), rng.choice(dens))
                for _ in range(n ** 3)]
+    if family == "shared":
+        entries[rng.randrange(n ** 3)] = Fraction(1, 12)
     if family == "coprime":
         entries[rng.randrange(n ** 3)] = Fraction(1, 7)
         entries[rng.randrange(n ** 3)] = Fraction(-1, 2)
     return algebra_from_tuple(QQ, n, entries)
-
-
-def _denominators_divide_largest(alg):
-    dens = [x.denominator for row in alg.c for v in row for x in v]
-    return all(max(dens) % d == 0 for d in dens)
 
 
 @pytest.mark.parametrize("family", ["integral", "shared", "coprime"])
@@ -258,9 +255,9 @@ def _denominators_divide_largest(alg):
 def test_check_identity_matches_field_oracle(family, n):
     rng = seeded(100 + 10 * n + len(family))
     algebras = [_random_qq_tensor(rng, n, family) for _ in range(2)]
-    if n > 1:  # a dim-1 tensor has one constant, so it always takes the integer path
-        for alg in algebras:
-            assert _denominators_divide_largest(alg) == (family != "coprime")
+    for alg in algebras:
+        integral = all(x.denominator == 1 for x in tuple_from_algebra(alg))
+        assert integral == (family == "integral")
     # scaling the constants preserves every identity, so these pass
     if n == 2:
         scale = {"integral": 5, "shared": Fraction(3, 4), "coprime": Fraction(1, 7)}[family]
@@ -283,18 +280,33 @@ def test_check_identity_matches_field_oracle(family, n):
                 assert report.passed and not report.witnesses and not report.truncated
 
 
-def test_check_identity_with_huge_coprime_denominators_is_fast():
-    # 216 random 60-digit denominators: their lcm has about 13,000 digits,
-    # so clearing it would make every defect a product of huge integers
-    # (about 3 s here, against 0.07 s in field arithmetic)
+def test_only_integral_qq_constants_take_the_integer_path(monkeypatch):
+    # a fraction anywhere keeps the check in field arithmetic, so large
+    # coprime denominators are never cleared into one huge common multiple
+    calls = []
+
+    class Spy(algebra_module._Integers):
+        @staticmethod
+        def mul(x, y):
+            calls.append(None)
+            return x * y
+
+    monkeypatch.setattr(algebra_module, "_Integers", Spy)
     rng = seeded(60)
-    entries = [Fraction(rng.randrange(-9, 10), rng.randrange(10 ** 59, 10 ** 60))
-               for _ in range(6 ** 3)]
-    alg = algebra_from_tuple(QQ, 6, entries)
-    start = time.perf_counter()
-    for kind in IDENTITY_KINDS:
-        assert not check_identity(alg, kind).passed
-    assert time.perf_counter() - start < 1
+    integral = [Fraction(rng.randrange(-9, 10)) for _ in range(27)]
+    tensors = {
+        "integral": algebra_from_tuple(QQ, 3, integral),
+        "halves": algebra_from_tuple(QQ, 3, (x / 2 for x in integral)),
+        "60-digit denominators": algebra_from_tuple(
+            QQ, 3, (Fraction(rng.randrange(-9, 10), rng.randrange(10 ** 59, 10 ** 60))
+                    for _ in range(27))),
+        "GF(5)": algebra_from_tuple(prime_field(5), 3, (int(x) % 5 for x in integral)),
+    }
+    for name, alg in tensors.items():
+        for kind in IDENTITY_KINDS:
+            calls.clear()
+            assert not check_identity(alg, kind).passed, (name, kind)
+            assert bool(calls) == (name == "integral"), (name, kind)
 
 
 # ---------------------------------------------------------------------------
