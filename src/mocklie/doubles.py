@@ -9,7 +9,9 @@ A + A* together with the canonical symmetric form
 
 is the double construction.  Invariance B(uv, w) = B(u, vw) holds for every
 assembled double, valid matched pair or not: it only uses the transpose
-structure of the actions.
+structure of the actions.  ``check_invariance`` reads it off M c, the form
+matrix M times each ambient product, using the symmetry of M that
+``BilinearForm`` enforces.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ from .algebra import (
     CheckReport,
     DEFAULT_MAX_WITNESSES,
     check_identity,
-    left_mult,
-    product,
     report_from_defects,
     sub_adjacent,
 )
 from .catalog import case_inputs, case_table
 from .errors import ShapeError, require
 from .fields import Field, require_same_field
-from .linalg import LinearMap, vec_sub
+from .linalg import LinearMap, combination
 from .matched import (
     JJMatchedPair,
     PreJJMatchedPair,
@@ -170,15 +170,14 @@ def jj_matched_pair_from_duals(primal: Algebra, dual: Algebra) -> JJMatchedPair:
 
 
 def assemble_jj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
-    """Assemble the JJ double (bracket via transposed left multiplications)."""
+    """Assemble the JJ double; its actions L_{e_i}^T are the table rows c[i]."""
     _require_dual_pair(primal, dual)
-    n = primal.dim
-    rho = tuple(left_mult(primal, primal.basis(i)).transpose() for i in range(n))
-    mu = tuple(left_mult(dual, dual.basis(a)).transpose() for a in range(n))
+    rho = tuple(LinearMap(primal.field, row) for row in primal.c)
+    mu = tuple(LinearMap(dual.field, row) for row in dual.c)
     ambient = jj_bicross_product(JJMatchedPair(primal, dual, rho, mu))
     return DoubleConstruction(
         ambient=ambient,
-        form=canonical_form(primal.field, n),
+        form=canonical_form(primal.field, primal.dim),
         primal=primal,
         dual=dual,
         kind="jj",
@@ -201,19 +200,17 @@ def check_invariance(double: DoubleConstruction,
                      max_witnesses: int = DEFAULT_MAX_WITNESSES) -> CheckReport:
     """Check B(uv, w) = B(u, vw) over all basis triples of the ambient."""
     amb = double.ambient
-    form = double.form
     f = amb.field
     n = amb.dim
+    # B(x, e_w) = (M x)_w for symmetric M, so B(uv, w) = t[u][v][w] and
+    # B(u, vw) = t[v][w][u]
+    t = [[double.form.matrix.apply(vec) for vec in row] for row in amb.c]
 
     def defects():
         for u in range(n):
-            eu = amb.basis(u)
             for v in range(n):
-                prod_uv = amb.c[u][v]
                 for w in range(n):
-                    lhs = form.value(prod_uv, amb.basis(w))
-                    rhs = form.value(eu, amb.c[v][w])
-                    yield (u, v, w), (f.sub(lhs, rhs),)
+                    yield (u, v, w), (f.sub(t[u][v][w], t[v][w][u]),)
 
     return report_from_defects("form_invariance", f, defects(), max_witnesses)
 
@@ -231,7 +228,9 @@ def conformance_diff(double: DoubleConstruction, table) -> list[dict]:
     """
     amb = double.ambient
     f = amb.field
+    c = amb.c
     n = double.primal.dim
+    pl, dl = double.primal.labels, double.dual.labels
     rows = []
     for (i, j), (k, l), expected in table:
         if not all(0 <= t < n for t in (i, j, k, l)):
@@ -240,22 +239,17 @@ def conformance_diff(double: DoubleConstruction, table) -> list[dict]:
         if len(expected) != 2 * n:
             raise ShapeError(f"fixture entry ({i}, {j}) * ({k}, {l}) expects "
                              f"{len(expected)} coordinates, not {2 * n}")
-        u = tuple(
-            f.one if t == i or t == n + j else f.zero for t in range(2 * n)
-        )
-        v = tuple(
-            f.one if t == k or t == n + l else f.zero for t in range(2 * n)
-        )
-        recomputed = product(amb, u, v)
+        recomputed = combination(f, 2 * n, (((f.one,) * 4, (
+            c[i][k], c[i][n + l], c[n + j][k], c[n + j][n + l])),))
         exp = tuple(f.of(x) for x in expected)
         rows.append(
             {
                 "left": (i, j),
                 "right": (k, l),
-                "lhs": _entry_label(double, i, j, k, l),
+                "lhs": f"({pl[i]}+{dl[j]})*({pl[k]}+{dl[l]})",
                 "recomputed": recomputed,
                 "expected": exp,
-                "match": vec_sub(f, recomputed, exp) == tuple([f.zero] * (2 * n)),
+                "match": recomputed == exp,
             }
         )
     return rows
@@ -266,9 +260,3 @@ def case_conformance(case: str, field: Field) -> tuple[DoubleConstruction, list[
     primal, dual = case_inputs(case, field)
     double = assemble_prejj_double(primal, dual)
     return double, conformance_diff(double, case_table(case))
-
-
-def _entry_label(double: DoubleConstruction, i, j, k, l) -> str:
-    pl = double.primal.labels
-    dl = double.dual.labels
-    return f"({pl[i]}+{dl[j]})*({pl[k]}+{dl[l]})"

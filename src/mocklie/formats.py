@@ -10,7 +10,7 @@ lists ``{"i", "j", "coeffs"}`` rows for the nonzero basis products (0-based
 indices; omitted pairs multiply to zero).  ``dim``, ``i``, ``j``, ``p`` and
 ``module_dim`` must be JSON integers and ``basis``, ``products`` and
 ``coeffs`` lists and ``basis`` entries strings; anything else raises
-``FormatError``, and so does a ``dim`` above ``MAX_DIM``.
+``FormatError``, and so does a ``dim`` or ``module_dim`` above ``MAX_DIM``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ if TYPE_CHECKING:  # doubles imports catalog, which imports this module
 SCHEMA_VERSION = 1
 
 # The identity checks cost about dim**4 field operations: ``check --identity
-# jj`` on the zero algebra takes about 1 s at dim 32 and 5 s at dim 48 (one
-# core, CPython 3.11), so larger documents are refused.
+# jj`` on the zero algebra takes about 1 s at dim 32 and 5 s at dim 48, and
+# ``double`` on two dense dim-32 QQ tables about 4 s (one core, CPython 3.11),
+# so larger documents are refused.  A module check costs dim**2 * module_dim**3,
+# so ``module_dim`` has the same cap.
 MAX_DIM = 32
 
 
@@ -170,7 +172,7 @@ def _module_container(obj, keys):
     """The algebra, module dimension and map lists of a module container.
 
     The module dimension is ``module_dim`` or else the size of the first map
-    under ``keys[0]``.
+    under ``keys[0]``; above ``MAX_DIM`` it raises ``FormatError``.
     """
     lists = _map_lists(obj, keys)
     alg = algebra_from_json(obj["algebra"])
@@ -180,6 +182,8 @@ def _module_container(obj, keys):
         m = len(lists[0][0])
     else:
         raise FormatError(f"container needs 'module_dim' or a nonempty {keys[0]!r}")
+    if m > MAX_DIM:
+        raise FormatError(f"module_dim {m} is above the limit of {MAX_DIM}")
     return alg, m, lists
 
 

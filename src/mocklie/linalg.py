@@ -8,8 +8,9 @@ elimination in the ambient field.
 ``combination`` is the one linear-combination loop: ``LinearMap.apply``
 and ``mul``, ``product``, ``left_mult`` and the identity generators in ``algebra``, the
 matched-pair equations in ``matched``, the linear part of
-``reps._flat_sum`` and the isomorphism test in ``classify`` all sum
-coefficients times vectors through it.
+``reps._flat_sum``, the recomputed products of ``doubles.conformance_diff``
+and the isomorphism test in ``classify`` all sum coefficients times vectors
+through it.
 """
 
 from __future__ import annotations

@@ -531,6 +531,36 @@ def test_semidirect_container_with_module_dim_zero(tmp_path, capsys, maps, flags
     assert_one_error_line(capsys, str(path), "module must have positive dimension")
 
 
+def zero_module_container(jj, m):
+    alg = Algebra.zero(QQ, 1)
+    if jj:
+        return rep_to_json(JJRep.zero(alg, m))
+    return bimodule_to_json(PreJJBimodule.zero(alg, m))
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["given", "inferred"])
+@pytest.mark.parametrize("jj", [True, False], ids=["rep", "bimodule"])
+def test_semidirect_container_with_module_dim_33(tmp_path, capsys, jj, given):
+    # module checks cost about dim**4 like the algebra checks, so module_dim
+    # is capped at 32 too, whether given or read off the first map
+    doc = zero_module_container(jj, 33)
+    if not given:
+        del doc["module_dim"]
+    path = tmp_path / "m33.json"
+    path.write_text(dumps(doc))
+    assert main(["semidirect", str(path)]) == 2
+    assert_one_error_line(capsys, str(path), "module_dim 33")
+
+
+@pytest.mark.parametrize("jj", [True, False], ids=["rep", "bimodule"])
+def test_semidirect_container_with_module_dim_32_loads(tmp_path, jj):
+    path = tmp_path / "m32.json"
+    path.write_text(dumps(zero_module_container(jj, 32)))
+    out = tmp_path / "sd.json"
+    assert main(["semidirect", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["dim"] == 33
+
+
 def test_cached_parser_gives_the_outputs_of_a_fresh_one(tmp_path):
     square = write_algebra(tmp_path / "sq.json", class_algebra("e1e1=e2"))
     third = write_algebra(tmp_path / "third.json", class_algebra("e2e1=e2"))

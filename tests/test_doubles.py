@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -7,13 +8,16 @@ from mocklie.algebra import (
     Algebra,
     algebra_from_tuple,
     check_identity,
+    left_mult,
     passes_identity,
+    product,
     structure_equal,
     sub_adjacent,
 )
 from mocklie.catalog import CASE_NAMES, case_inputs, case_table
 from mocklie.doubles import (
     BilinearForm,
+    DoubleConstruction,
     assemble_jj_double,
     assemble_prejj_double,
     build_jj_double,
@@ -26,9 +30,20 @@ from mocklie.doubles import (
     jj_matched_pair_from_duals,
 )
 from mocklie.errors import PreconditionError, ShapeError
-from mocklie.fields import QQ
+from mocklie.fields import QQ, prime_field
 from mocklie.linalg import LinearMap
-from mocklie.matched import check_jj_matched_pair, check_prejj_matched_pair
+from mocklie.matched import (
+    JJMatchedPair,
+    check_jj_matched_pair,
+    check_prejj_matched_pair,
+    jj_bicross_product,
+)
+
+GF7 = prime_field(7)
+
+
+def rand_algebra(rng, field, n):
+    return algebra_from_tuple(field, n, [rng.randrange(-2, 3) for _ in range(n ** 3)])
 
 
 def vec(field, *coords):
@@ -199,9 +214,6 @@ def test_jj_double_verdict_tracks_checker(f5_prejj_algebras):
         b = algs[rng.randrange(len(algs))]
         double = build_jj_double(a, b)
         n = a.dim
-        from mocklie.algebra import left_mult
-        from mocklie.matched import JJMatchedPair
-
         rho = tuple(left_mult(a, a.basis(i)).transpose() for i in range(n))
         mu = tuple(left_mult(b, b.basis(i)).transpose() for i in range(n))
         checker = outcome(
@@ -267,6 +279,122 @@ def test_invariance_is_structural_for_arbitrary_inputs():
         ca = algebra_from_tuple(GF5, 2, rand_commutative())
         cb = algebra_from_tuple(GF5, 2, rand_commutative())
         assert check_invariance(assemble_jj_double(ca, cb)).passed
+
+
+def invariance_defects(double):
+    """Every nonzero B(e_u e_v, e_w) - B(e_u, e_v e_w), in triple order,
+    from the form's values on basis vectors."""
+    amb, form, f = double.ambient, double.form, double.ambient.field
+    found = []
+    for u, v, w in itertools.product(range(amb.dim), repeat=3):
+        d = f.sub(form.value(amb.c[u][v], amb.basis(w)),
+                  form.value(amb.basis(u), amb.c[v][w]))
+        if d != f.zero:
+            found.append(((u, v, w), (d,)))
+    return found
+
+
+def mutated_case_doubles(field):
+    rng = seeded(45)
+    for case in CASE_NAMES:
+        double = assemble_prejj_double(*case_inputs(case, field))
+        amb = double.ambient
+        c = [[list(v) for v in row] for row in amb.c]
+        for _ in range(3):
+            i, j, k = (rng.randrange(amb.dim) for _ in range(3))
+            c[i][j][k] = field.add(c[i][j][k], field.of(rng.randrange(1, 4)))
+        yield dataclasses.replace(
+            double, ambient=Algebra.from_tensor(field, c, labels=amb.labels))
+
+
+def hand_built_doubles(field):
+    # a random ambient paired by a symmetric nondegenerate form that is not
+    # the canonical swap
+    rng = seeded(46)
+    built = []
+    while len(built) < 4:
+        n = rng.randrange(1, 3)
+        sym = [[0] * 2 * n for _ in range(2 * n)]
+        for r in range(2 * n):
+            for s in range(r, 2 * n):
+                sym[r][s] = sym[s][r] = rng.randrange(-2, 3)
+        matrix = LinearMap.from_rows(field, sym)
+        if matrix.det() == field.zero or matrix == canonical_form(field, n).matrix:
+            continue
+        built.append(DoubleConstruction(
+            ambient=rand_algebra(rng, field, 2 * n), form=BilinearForm(matrix),
+            primal=rand_algebra(rng, field, n), dual=rand_algebra(rng, field, n),
+            kind="pre_jj"))
+    return built
+
+
+@pytest.mark.parametrize("field", [QQ, GF5])
+def test_invariance_matches_the_basis_vector_oracle_at_every_cap(field):
+    doubles = [*mutated_case_doubles(field), *hand_built_doubles(field)]
+    for double in doubles:
+        found = invariance_defects(double)
+        assert found, "every input must fail somewhere"
+        for cap in range(1, double.ambient.dim ** 3 + 1):
+            report = check_invariance(double, max_witnesses=cap)
+            assert [(w.indices, w.defect) for w in report.witnesses] == found[:cap]
+            assert report.truncated == (len(found) > cap)
+            assert not report.passed
+
+
+def test_invariance_applies_the_form_once_per_product(monkeypatch):
+    # one application of M per ambient product c[u][v]: (2n)^2 in all,
+    # however many of the (2n)^3 triples are checked
+    calls = []
+    apply = LinearMap.apply
+    monkeypatch.setattr(LinearMap, "apply",
+                        lambda self, v: calls.append(1) or apply(self, v))
+    for n in (1, 2, 3):
+        rng = seeded(47 + n)
+        double = assemble_prejj_double(rand_algebra(rng, GF5, n),
+                                       rand_algebra(rng, GF5, n))
+        calls.clear()
+        assert check_invariance(double).passed
+        assert len(calls) == (2 * n) ** 2
+
+
+# ---------------------------------------------------------------------------
+# conformance and JJ assembly against basis-vector oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, GF7])
+def test_conformance_rows_match_the_product_oracle(field):
+    rng = seeded(48)
+    for n in (1, 2, 3):
+        double = assemble_prejj_double(rand_algebra(rng, field, n),
+                                       rand_algebra(rng, field, n))
+        amb = double.ambient
+        table, oracle = [], []
+        for _ in range(12):
+            i, j, k, l = (rng.randrange(n) for _ in range(4))
+            u = tuple(field.one if t in (i, n + j) else field.zero for t in range(2 * n))
+            v = tuple(field.one if t in (k, n + l) else field.zero for t in range(2 * n))
+            truth = product(amb, u, v)
+            expected = truth if rng.random() < 0.5 else tuple(
+                field.of(rng.randrange(-2, 3)) for _ in range(2 * n))
+            table.append(((i, j), (k, l), expected))
+            oracle.append(((i, j), (k, l), truth, truth == expected))
+        rows = conformance_diff(double, table)
+        assert [(r["left"], r["right"], r["recomputed"], r["match"])
+                for r in rows] == oracle
+        assert not all(r["match"] for r in rows)
+
+
+def test_jj_double_matches_the_left_multiplication_oracle():
+    rng = seeded(49)
+    for field in (QQ, GF5):
+        for n in (1, 2, 3):
+            a, b = rand_algebra(rng, field, n), rand_algebra(rng, field, n)
+            rho = tuple(left_mult(a, a.basis(i)).transpose() for i in range(n))
+            mu = tuple(left_mult(b, b.basis(i)).transpose() for i in range(n))
+            oracle = jj_bicross_product(JJMatchedPair(a, b, rho, mu))
+            ambient = assemble_jj_double(a, b).ambient
+            assert structure_equal(ambient, oracle)
+            assert ambient.labels == oracle.labels
 
 
 # ---------------------------------------------------------------------------
