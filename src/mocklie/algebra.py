@@ -8,7 +8,8 @@ every check exact and O(n^3).  Each identity is defined once, by its defect
 generator; the census solver in ``classify`` compiles its equations from it.
 Each defect is one ``linalg.combination`` of the rows ``c[i]`` (the products
 e_i e_m) and the columns e_m e_k, taken once per generator call; ``product``
-and ``left_mult`` go through the same kernel.
+and ``left_mult`` go through the same kernel.  As matrices, the rows and
+columns are L_{e_i}^T and R_{e_i}^T, the operators ``reps`` and ``doubles`` use.
 
 Over QQ, when every structure constant is an integer, ``_defects`` runs the
 same generator on the numerators in a private ring of plain ints, so the
@@ -193,6 +194,12 @@ def antiassociator(alg: Algebra, x: Vector, y: Vector, z: Vector) -> Vector:
 def _right_columns(alg: Algebra) -> tuple:
     # entry k lists the products e_m * e_k over m
     return tuple(zip(*alg.c))
+
+
+def _transposed_operators(alg: Algebra) -> tuple:
+    # (L_{e_i}^T) and (R_{e_i}^T): row m of each is e_i e_m, resp. e_m e_i
+    return (tuple(LinearMap(alg.field, row) for row in alg.c),
+            tuple(LinearMap(alg.field, col) for col in _right_columns(alg)))
 
 
 def _antiassociator_terms(c, right, i, j, k) -> tuple:
@@ -388,6 +395,9 @@ def opposite(alg: Algebra) -> Algebra:
 
 def algebra_from_tuple(field: Field, dim: int, entries, labels=None) -> Algebra:
     """Unflatten n^3 structure constants in (i, j, k) lex order into an Algebra."""
+    entries = tuple(entries)
+    if len(entries) != dim ** 3:
+        raise ShapeError(f"need {dim ** 3} structure constants, got {len(entries)}")
     it = iter(entries)
     tensor = [[[next(it) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     return Algebra.from_tensor(field, tensor, labels=labels)

@@ -25,7 +25,6 @@ from .doubles import (
 from .errors import MockLieError, PreconditionError
 from .fields import PrimeField, QQ
 from .formats import (
-    FormatError,
     algebra_from_json,
     algebra_to_json,
     bimodule_from_json,
@@ -339,7 +338,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (FormatError, MockLieError) as exc:
+    except MockLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
 """Double constructions A + A* with the canonical invariant pairing.
 
-Given an algebra structure on A and one on its dual basis A*, the dual
-multiplication operators (realized as plain matrix transposes in the
-coordinate bases) furnish matched-pair candidates; the bicrossed product on
-A + A* together with the canonical symmetric form
+Given an algebra structure on A and one on its dual basis A*, the transposed
+multiplication operators, read off the two structure tables, furnish
+matched-pair candidates; the bicrossed product on A + A* with the canonical
+symmetric form
 
     B = [[0, I], [I, 0]],      B(x + a*, y + b*) = <x, b*> + <a*, y>
 
@@ -22,6 +22,7 @@ from .algebra import (
     Algebra,
     CheckReport,
     DEFAULT_MAX_WITNESSES,
+    _transposed_operators,
     check_identity,
     report_from_defects,
     sub_adjacent,
@@ -36,7 +37,6 @@ from .matched import (
     jj_bicross_product,
     prejj_bicross_product,
 )
-from .reps import dual_bimodule, PreJJBimodule
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,9 @@ def dual_structure_maps(primal: Algebra, dual: Algebra) -> PreJJMatchedPair:
     on the primal carrier).
     """
     _require_dual_pair(primal, dual)
-    reg_primal = dual_bimodule(PreJJBimodule.regular(primal))
-    reg_dual = dual_bimodule(PreJJBimodule.regular(dual))
-    return PreJJMatchedPair(
-        primal, dual,
-        la=reg_primal.left, ra=reg_primal.right,
-        lb=reg_dual.left, rb=reg_dual.right,
-    )
+    lt_a, rt_a = _transposed_operators(primal)
+    lt_b, rt_b = _transposed_operators(dual)
+    return PreJJMatchedPair(primal, dual, la=rt_a, ra=lt_a, lb=rt_b, rb=lt_b)
 
 
 def assemble_prejj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
@@ -159,21 +155,15 @@ def jj_matched_pair_from_duals(primal: Algebra, dual: Algebra) -> JJMatchedPair:
     indistinguishable (the sign-guard test pins this down).
     """
     _require_dual_pair(primal, dual)
-
-    def lifted(alg):
-        reg = PreJJBimodule.regular(alg)
-        return tuple(l.add(r).transpose().neg() for l, r in zip(reg.left, reg.right))
-
-    return JJMatchedPair(
-        sub_adjacent(primal), sub_adjacent(dual), lifted(primal), lifted(dual)
-    )
+    lifted = (tuple(lt.add(rt).neg() for lt, rt in zip(*_transposed_operators(alg)))
+              for alg in (primal, dual))
+    return JJMatchedPair(sub_adjacent(primal), sub_adjacent(dual), *lifted)
 
 
 def assemble_jj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
-    """Assemble the JJ double; its actions L_{e_i}^T are the table rows c[i]."""
+    """Assemble the JJ double; its actions are the operators L_{e_i}^T."""
     _require_dual_pair(primal, dual)
-    rho = tuple(LinearMap(primal.field, row) for row in primal.c)
-    mu = tuple(LinearMap(dual.field, row) for row in dual.c)
+    rho, mu = _transposed_operators(primal)[0], _transposed_operators(dual)[0]
     ambient = jj_bicross_product(JJMatchedPair(primal, dual, rho, mu))
     return DoubleConstruction(
         ambient=ambient,

@@ -21,7 +21,8 @@ strictly weaker, and the divergence is observable.
 
 Checks fold the underlying algebra's own identity into the verdict (witness
 tag ``"algebra"``) so that the semidirect-sum equivalences hold verbatim
-for arbitrary candidate maps.
+for arbitrary candidate maps.  ``PreJJBimodule.regular`` and ``JJRep.adjoint``
+transpose the table slices L_{e_i}^T and R_{e_i}^T; nothing is multiplied.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .algebra import (
     CheckReport,
     DEFAULT_MAX_WITNESSES,
     _block_product,
+    _check_vector,
     _defects,
+    _transposed_operators,
     default_labels,
-    left_mult,
     report_from_defects,
-    right_mult,
     sub_adjacent,
 )
 from .errors import ShapeError, require
@@ -83,6 +84,7 @@ class JJRep:
 
     def rho(self, x: Vector) -> LinearMap:
         """The map attached to an algebra vector, extended linearly."""
+        _check_vector(self.algebra, x)
         f = self.algebra.field
         acc = LinearMap.zeros(f, self.module_dim, self.module_dim)
         for xi, m in zip(x, self.maps):
@@ -98,8 +100,8 @@ class JJRep:
     @classmethod
     def adjoint(cls, algebra: Algebra) -> "JJRep":
         """The algebra acting on itself by (left) multiplication."""
-        return cls(algebra, tuple(left_mult(algebra, algebra.basis(i))
-                                  for i in range(algebra.dim)))
+        lt = _transposed_operators(algebra)[0]
+        return cls(algebra, tuple(m.transpose() for m in lt))
 
 
 @dataclass(frozen=True)
@@ -131,12 +133,9 @@ class PreJJBimodule:
     @classmethod
     def regular(cls, algebra: Algebra) -> "PreJJBimodule":
         """The regular bimodule (L, R, A): the algebra acting on itself."""
-        n = algebra.dim
-        return cls(
-            algebra,
-            tuple(left_mult(algebra, algebra.basis(i)) for i in range(n)),
-            tuple(right_mult(algebra, algebra.basis(i)) for i in range(n)),
-        )
+        lt, rt = _transposed_operators(algebra)
+        return cls(algebra, tuple(m.transpose() for m in lt),
+                   tuple(m.transpose() for m in rt))
 
 
 def _flat(maps):

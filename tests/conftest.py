@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +55,18 @@ def rand_matrix(rng, field, n, m=None):
     return LinearMap(
         field, tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(n))
     )
+
+
+def rand_table_algebra(rng, field, n):
+    """A random dim-n algebra, about a third of its constants zero; over QQ
+    some of the others are fractions."""
+    def constant():
+        if rng.randrange(3) == 0:
+            return 0
+        if field.characteristic:
+            return rng.randrange(1, field.p)
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+    return algebra_from_tuple(field, n, [constant() for _ in range(n ** 3)])
 
 
 def rand_invertible(rng, field, n):

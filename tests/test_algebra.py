@@ -614,3 +614,9 @@ def test_bad_tensor_shape_rejected():
 def test_out_of_range_product_index():
     with pytest.raises(ShapeError):
         Algebra.from_products(QQ, 2, {(0, 5): (0, 1)})
+
+
+@pytest.mark.parametrize("count", [7, 9])
+def test_algebra_from_tuple_refuses_a_wrong_constant_count(count):
+    with pytest.raises(ShapeError, match=f"need 8 structure constants, got {count}"):
+        algebra_from_tuple(QQ, 2, range(count))

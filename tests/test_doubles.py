@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from conftest import GF5, outcome, seeded
+from conftest import GF2, GF5, outcome, rand_table_algebra, seeded
+from mocklie import algebra as algebra_module
 from mocklie.algebra import (
     Algebra,
     algebra_from_tuple,
@@ -11,6 +12,7 @@ from mocklie.algebra import (
     left_mult,
     passes_identity,
     product,
+    right_mult,
     structure_equal,
     sub_adjacent,
 )
@@ -386,15 +388,54 @@ def test_conformance_rows_match_the_product_oracle(field):
 
 def test_jj_double_matches_the_left_multiplication_oracle():
     rng = seeded(49)
-    for field in (QQ, GF5):
-        for n in (1, 2, 3):
-            a, b = rand_algebra(rng, field, n), rand_algebra(rng, field, n)
+    for field in (QQ, GF2, GF5):
+        for n in (1, 2, 3, 4):
+            a, b = rand_table_algebra(rng, field, n), rand_table_algebra(rng, field, n)
             rho = tuple(left_mult(a, a.basis(i)).transpose() for i in range(n))
             mu = tuple(left_mult(b, b.basis(i)).transpose() for i in range(n))
             oracle = jj_bicross_product(JJMatchedPair(a, b, rho, mu))
             ambient = assemble_jj_double(a, b).ambient
             assert structure_equal(ambient, oracle)
             assert ambient.labels == oracle.labels
+
+
+def _transposed_oracle(alg):
+    # (L_{e_i}^T) and (R_{e_i}^T) through the general-vector operators
+    basis = [alg.basis(i) for i in range(alg.dim)]
+    return (tuple(left_mult(alg, x).transpose() for x in basis),
+            tuple(right_mult(alg, x).transpose() for x in basis))
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5], ids=["QQ", "GF2", "GF5"])
+def test_dual_maps_match_the_multiplication_oracle(field):
+    rng = seeded(63)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            a, b = rand_table_algebra(rng, field, n), rand_table_algebra(rng, field, n)
+            (lt_a, rt_a), (lt_b, rt_b) = _transposed_oracle(a), _transposed_oracle(b)
+            mp = dual_structure_maps(a, b)
+            assert (mp.la, mp.ra, mp.lb, mp.rb) == (rt_a, lt_a, rt_b, lt_b)
+            jp = jj_matched_pair_from_duals(a, b)
+            assert structure_equal(jp.G, sub_adjacent(a))
+            assert structure_equal(jp.H, sub_adjacent(b))
+            assert jp.rho == tuple(l.add(r).neg() for l, r in zip(lt_a, rt_a))
+            assert jp.mu == tuple(l.add(r).neg() for l, r in zip(lt_b, rt_b))
+
+
+def test_dual_maps_and_jj_double_multiply_no_vectors(monkeypatch):
+    calls = []
+    real = algebra_module.combination
+    monkeypatch.setattr(algebra_module, "combination",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = seeded(64)
+    a, b = rand_table_algebra(rng, QQ, 3), rand_table_algebra(rng, QQ, 3)
+    left_mult(a, a.basis(0))
+    assert calls, "the spy does not see the multiplication kernel"
+    calls.clear()
+    dual_structure_maps(a, b)
+    jj_matched_pair_from_duals(a, b)
+    assemble_jj_double(a, b)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import pytest
 
 from conftest import (
+    GF2,
     GF5,
     rand_matrix,
+    rand_table_algebra,
     random_candidate_bimodule,
     random_valid_bimodule,
     seeded,
 )
+from mocklie import algebra as algebra_module
 from mocklie.algebra import (
     _DEFECT_GENERATORS,
     Algebra,
@@ -155,6 +158,33 @@ def test_regular_bimodule_over_third_class_fails_like_its_semidirect(classes_qq)
     assert not report.passed
     assert "algebra" in {w.tag for w in report.witnesses}
     assert not passes_identity(prejj_semidirect(bm), "left_pre_jj")
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5], ids=["QQ", "GF2", "GF5"])
+def test_regular_and_adjoint_match_the_multiplication_oracle(field):
+    rng = seeded(61)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            alg = rand_table_algebra(rng, field, n)
+            left = tuple(left_mult(alg, alg.basis(i)) for i in range(n))
+            right = tuple(right_mult(alg, alg.basis(i)) for i in range(n))
+            reg = PreJJBimodule.regular(alg)
+            assert (reg.left, reg.right) == (left, right)
+            assert JJRep.adjoint(alg).maps == left
+
+
+def test_regular_and_adjoint_multiply_no_vectors(monkeypatch):
+    calls = []
+    real = algebra_module.combination
+    monkeypatch.setattr(algebra_module, "combination",
+                        lambda *args: calls.append(args) or real(*args))
+    alg = rand_table_algebra(seeded(62), QQ, 3)
+    left_mult(alg, alg.basis(0))
+    assert calls, "the spy does not see the multiplication kernel"
+    calls.clear()
+    PreJJBimodule.regular(alg)
+    JJRep.adjoint(alg)
+    assert calls == []
 
 
 def test_zero_maps_pass(classes_qq):
@@ -431,6 +461,16 @@ def test_rep_shape_validation(classes_qq):
         JJRep(g, (LinearMap.identity(QQ, 2),))
     with pytest.raises(ShapeError):
         JJRep(g, (LinearMap.identity(QQ, 2), LinearMap.identity(QQ, 3)))
+
+
+@pytest.mark.parametrize("coords", [(1, 0, 5), (1,)], ids=["long", "short"])
+def test_rho_refuses_a_vector_of_the_wrong_length(coords):
+    alg = Algebra.zero(QQ, 2)
+    message = f"vector of length {len(coords)} in a dim-2 algebra"
+    with pytest.raises(ShapeError, match=message):
+        left_mult(alg, vec(QQ, *coords))
+    with pytest.raises(ShapeError, match=message):
+        JJRep.adjoint(alg).rho(vec(QQ, *coords))
 
 
 def test_bimodule_shape_validation(classes_qq):
