@@ -11,10 +11,8 @@ e_i e_m) and the columns e_m e_k, taken once per generator call; ``product``
 and ``left_mult`` go through the same kernel.  As matrices, the rows and
 columns are L_{e_i}^T and R_{e_i}^T, the operators ``reps`` and ``doubles`` use.
 
-Over QQ, when every structure constant is an integer, ``_defects`` runs the
-same generator on the numerators in a private ring of plain ints, so the
-defects are integers too.  Any other QQ tensor, and every GF(p) one, is
-checked in field arithmetic.
+An integral QQ constant is a plain ``int`` (see ``fields``), so on an
+integral tensor the generators run on ints and yield int defects.
 
 ``transport_constants`` is the one basis-change loop, on the n^3-tuples of
 ``tuple_from_algebra``; ``apply_basis_change`` and the census orbits in
@@ -36,9 +34,7 @@ Identity kinds
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FieldError, ShapeError
 from .fields import Field, characteristic_warnings, require_same_field
@@ -196,10 +192,9 @@ def _right_columns(alg: Algebra) -> tuple:
     return tuple(zip(*alg.c))
 
 
-def _transposed_operators(alg: Algebra) -> tuple:
-    # (L_{e_i}^T) and (R_{e_i}^T): row m of each is e_i e_m, resp. e_m e_i
-    return (tuple(LinearMap(alg.field, row) for row in alg.c),
-            tuple(LinearMap(alg.field, col) for col in _right_columns(alg)))
+def _left_transposes(alg: Algebra) -> tuple:
+    # L_{e_i}^T, whose row m is e_i e_m; R_{e_i}^T is this family of opposite(alg)
+    return tuple(LinearMap(alg.field, row) for row in alg.c)
 
 
 def _antiassociator_terms(c, right, i, j, k) -> tuple:
@@ -301,28 +296,13 @@ def passes_identity(alg: Algebra, kind: str) -> bool:
     return all(vec_is_zero(f, defect) for _, defect in _defects(alg, kind))
 
 
-class _Integers:
-    """The ring Z, as much of the field interface as the generators use."""
-
-    zero = 0
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-
-
 def _defects(alg: Algebra, kind: str):
     try:
-        gen = _DEFECT_GENERATORS[kind]
+        return _DEFECT_GENERATORS[kind](alg)  # a generator: no body runs here
     except KeyError:
         raise FieldError(
             f"unknown identity kind {kind!r}; expected one of {IDENTITY_KINDS}"
         ) from None
-    if alg.field.characteristic or any(x.denominator != 1 for x in tuple_from_algebra(alg)):
-        return gen(alg)
-    ints = tuple(tuple(tuple(x.numerator for x in v) for v in row) for row in alg.c)
-    zero = vec_zero(alg.field, alg.dim)
-    return ((indices, tuple(map(Fraction, defect)) if any(defect) else zero)
-            for indices, defect in gen(Algebra(_Integers, alg.labels, ints)))
 
 
 def sub_adjacent(alg: Algebra, halved: bool = False) -> Algebra:

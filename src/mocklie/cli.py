@@ -98,8 +98,6 @@ def _parse(path, parse, obj, *args):
     """``parse(obj, *args)``, with a malformed document reported against ``path``."""
     try:
         return parse(obj, *args)
-    except KeyError as exc:
-        raise CliError(f"{path}: missing field {exc}") from None
     except MockLieError as exc:
         raise CliError(f"{path}: {exc}") from None
 

@@ -22,8 +22,9 @@ from .algebra import (
     Algebra,
     CheckReport,
     DEFAULT_MAX_WITNESSES,
-    _transposed_operators,
+    _left_transposes,
     check_identity,
+    opposite,
     report_from_defects,
     sub_adjacent,
 )
@@ -109,9 +110,9 @@ def dual_structure_maps(primal: Algebra, dual: Algebra) -> PreJJMatchedPair:
     on the primal carrier).
     """
     _require_dual_pair(primal, dual)
-    lt_a, rt_a = _transposed_operators(primal)
-    lt_b, rt_b = _transposed_operators(dual)
-    return PreJJMatchedPair(primal, dual, la=rt_a, ra=lt_a, lb=rt_b, rb=lt_b)
+    la, lb = _left_transposes(opposite(primal)), _left_transposes(opposite(dual))
+    return PreJJMatchedPair(primal, dual, la=la, ra=_left_transposes(primal),
+                            lb=lb, rb=_left_transposes(dual))
 
 
 def assemble_prejj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
@@ -155,7 +156,8 @@ def jj_matched_pair_from_duals(primal: Algebra, dual: Algebra) -> JJMatchedPair:
     indistinguishable (the sign-guard test pins this down).
     """
     _require_dual_pair(primal, dual)
-    lifted = (tuple(lt.add(rt).neg() for lt, rt in zip(*_transposed_operators(alg)))
+    lifted = (tuple(lt.add(rt).neg() for lt, rt in zip(_left_transposes(alg),
+                                                        _left_transposes(opposite(alg))))
               for alg in (primal, dual))
     return JJMatchedPair(sub_adjacent(primal), sub_adjacent(dual), *lifted)
 
@@ -163,8 +165,8 @@ def jj_matched_pair_from_duals(primal: Algebra, dual: Algebra) -> JJMatchedPair:
 def assemble_jj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
     """Assemble the JJ double; its actions are the operators L_{e_i}^T."""
     _require_dual_pair(primal, dual)
-    rho, mu = _transposed_operators(primal)[0], _transposed_operators(dual)[0]
-    ambient = jj_bicross_product(JJMatchedPair(primal, dual, rho, mu))
+    ambient = jj_bicross_product(JJMatchedPair(primal, dual, _left_transposes(primal),
+                                               _left_transposes(dual)))
     return DoubleConstruction(
         ambient=ambient,
         form=canonical_form(primal.field, primal.dim),

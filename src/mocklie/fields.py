@@ -1,9 +1,12 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime fields.
 
 Every computation in this package happens over one of these two fields; there
-is no floating point anywhere.  Scalars are stored raw (``Fraction`` for the
-rationals, ``int`` in ``[0, p)`` for a prime field) and the field object owns
-the arithmetic, so hot loops pay no per-element wrapper cost.  All values in
+is no floating point anywhere.  Scalars are stored raw: an ``int`` in
+``[0, p)`` for a prime field; for the rationals, an ``int`` when ``of``,
+``parse`` or ``inv`` finds the value integral and a ``Fraction`` otherwise.
+Arithmetic results are not re-normalised; an integral ``Fraction`` is still
+exact, and equals and hashes as its ``int``.  The field object owns the
+arithmetic, so hot loops pay no per-element wrapper cost.  All values in
 one computation share a single field descriptor; mixing fields is an error.
 
 String forms: rationals render as ``"a"`` or ``"a/b"``; prime-field elements
@@ -60,18 +63,17 @@ class RationalField:
     """The field of arbitrary-precision rationals (characteristic 0)."""
 
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, value) -> Fraction:
-        """Coerce an int, Fraction or string into a rational."""
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
+    def of(self, value):
+        """Coerce an int, Fraction or string into a rational: an ``int`` when
+        it is integral, a ``Fraction`` otherwise."""
         if isinstance(value, str):
             return self.parse(value)
-        raise FieldError(f"cannot coerce {value!r} into the rational field")
+        if not isinstance(value, (int, Fraction)):
+            raise FieldError(f"cannot coerce {value!r} into the rational field")
+        return int(value) if value.denominator == 1 else value
 
     def add(self, a, b):
         return a + b
@@ -88,10 +90,10 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return 1 / a
+        return self.of(Fraction(1, a))
 
-    def parse(self, text: str) -> Fraction:
-        return Fraction(*_parse_ratio(text, self))
+    def parse(self, text: str):
+        return self.of(Fraction(*_parse_ratio(text, self)))
 
     def render(self, a) -> str:
         try:

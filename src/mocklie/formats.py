@@ -61,6 +61,13 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _required(obj: dict, key: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise FormatError(f"missing field {key!r}") from None
+
+
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise FormatError(f"{what} must be a list, got {value!r}")
@@ -161,7 +168,7 @@ def _map_lists(obj, keys):
     """The lists of matrices under ``keys`` of the JSON object ``obj``."""
     if not isinstance(obj, dict):
         raise FormatError("module container must be a JSON object")
-    lists = [obj[key] for key in keys]
+    lists = [_required(obj, key) for key in keys]
     for key, maps in zip(keys, lists):
         if not isinstance(maps, list):
             raise FormatError(f"{key!r} must be a list of matrices")
@@ -175,7 +182,7 @@ def _module_container(obj, keys):
     under ``keys[0]``; above ``MAX_DIM`` it raises ``FormatError``.
     """
     lists = _map_lists(obj, keys)
-    alg = algebra_from_json(obj["algebra"])
+    alg = algebra_from_json(_required(obj, "algebra"))
     if obj.get("module_dim") is not None:
         m = _integer(obj["module_dim"], "module_dim")
     elif lists[0] and isinstance(lists[0][0], list):
@@ -292,12 +299,13 @@ def table_fixture_from_json(obj, field: Field):
     ``left`` and ``right`` are pairs of basis indices and ``expected`` a list
     of scalars; anything else raises ``FormatError``.
     """
-    if not isinstance(obj, dict) or not isinstance(obj["entries"], list):
+    if not isinstance(obj, dict) or not isinstance(_required(obj, "entries"), list):
         raise FormatError("a conformance fixture must be an object with an entries list")
     entries = []
     for row in obj["entries"]:
         if not isinstance(row, dict) or not all(
-                isinstance(row[key], list) for key in ("left", "right", "expected")):
+                isinstance(_required(row, key), list)
+                for key in ("left", "right", "expected")):
             raise FormatError("a fixture entry must be an object of lists "
                               "left, right and expected")
         left, right = tuple(row["left"]), tuple(row["right"])

@@ -37,8 +37,9 @@ from .algebra import (
     _block_product,
     _check_vector,
     _defects,
-    _transposed_operators,
+    _left_transposes,
     default_labels,
+    opposite,
     report_from_defects,
     sub_adjacent,
 )
@@ -100,8 +101,7 @@ class JJRep:
     @classmethod
     def adjoint(cls, algebra: Algebra) -> "JJRep":
         """The algebra acting on itself by (left) multiplication."""
-        lt = _transposed_operators(algebra)[0]
-        return cls(algebra, tuple(m.transpose() for m in lt))
+        return cls(algebra, tuple(m.transpose() for m in _left_transposes(algebra)))
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class PreJJBimodule:
     @classmethod
     def regular(cls, algebra: Algebra) -> "PreJJBimodule":
         """The regular bimodule (L, R, A): the algebra acting on itself."""
-        lt, rt = _transposed_operators(algebra)
+        lt, rt = _left_transposes(algebra), _left_transposes(opposite(algebra))
         return cls(algebra, tuple(m.transpose() for m in lt),
                    tuple(m.transpose() for m in rt))
 

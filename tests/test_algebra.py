@@ -9,7 +9,6 @@ from conftest import (
     rand_invertible,
     seeded,
 )
-from mocklie import algebra as algebra_module
 from mocklie.algebra import (
     Algebra,
     IDENTITY_KINDS,
@@ -280,33 +279,35 @@ def test_check_identity_matches_field_oracle(family, n):
                 assert report.passed and not report.witnesses and not report.truncated
 
 
-def test_only_integral_qq_constants_take_the_integer_path(monkeypatch):
-    # a fraction anywhere keeps the check in field arithmetic, so large
-    # coprime denominators are never cleared into one huge common multiple
-    calls = []
-
-    class Spy(algebra_module._Integers):
-        @staticmethod
-        def mul(x, y):
-            calls.append(None)
-            return x * y
-
-    monkeypatch.setattr(algebra_module, "_Integers", Spy)
-    rng = seeded(60)
-    integral = [Fraction(rng.randrange(-9, 10)) for _ in range(27)]
-    tensors = {
-        "integral": algebra_from_tuple(QQ, 3, integral),
-        "halves": algebra_from_tuple(QQ, 3, (x / 2 for x in integral)),
-        "60-digit denominators": algebra_from_tuple(
-            QQ, 3, (Fraction(rng.randrange(-9, 10), rng.randrange(10 ** 59, 10 ** 60))
-                    for _ in range(27))),
-        "GF(5)": algebra_from_tuple(prime_field(5), 3, (int(x) % 5 for x in integral)),
-    }
-    for name, alg in tensors.items():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integral_qq_witnesses_are_ints(n):
+    rng = seeded(60 + n)
+    for _ in range(3):
+        alg = algebra_from_tuple(QQ, n, (Fraction(rng.randrange(-9, 10)) for _ in range(n ** 3)))
+        assert all(type(x) is int for x in tuple_from_algebra(alg))
         for kind in IDENTITY_KINDS:
-            calls.clear()
-            assert not check_identity(alg, kind).passed, (name, kind)
-            assert bool(calls) == (name == "integral"), (name, kind)
+            for w in check_identity(alg, kind, max_witnesses=n ** 3).witnesses:
+                assert all(type(x) is int for x in w.defect), (kind, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integral_fractions_check_like_their_int_twins(n):
+    # an integral Fraction that bypasses ``of`` is an exact scalar all the same
+    rng = seeded(70 + n)
+    for _ in range(4):
+        twin = algebra_from_tuple(QQ, n, (rng.choice((0, 0, 1, -1, 2, -3))
+                                          for _ in range(n ** 3)))
+        alg = Algebra(QQ, twin.labels,
+                      tuple(tuple(tuple(map(Fraction, v)) for v in row) for row in twin.c))
+        assert type(alg.c[0][0][0]) is Fraction and alg.c == twin.c
+        for kind in IDENTITY_KINDS:
+            assert check_identity(alg, kind, n ** 3) == check_identity(twin, kind, n ** 3)
+            assert passes_identity(alg, kind) == passes_identity(twin, kind)
+        for halved in (False, True):
+            assert structure_equal(sub_adjacent(alg, halved), sub_adjacent(twin, halved))
+        x = vec(QQ, *range(1, n + 1))
+        assert product(alg, x, x) == product(twin, x, x)
+        assert left_mult(alg, x) == left_mult(twin, x)
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,29 @@ def test_dual_maps_and_jj_double_multiply_no_vectors(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jj_double_builds_only_its_maps(monkeypatch, n):
+    # the L^T family of each side and the two matrices of the form; no R^T
+    built = []
+    real = LinearMap.__post_init__
+    monkeypatch.setattr(LinearMap, "__post_init__", lambda m: built.append(m) or real(m))
+    rng = seeded(66 + n)
+    a, b = rand_table_algebra(rng, QQ, n), rand_table_algebra(rng, QQ, n)
+    assemble_jj_double(a, b)
+    assert len(built) == 2 * n + 2
+
+
+def test_integral_qq_double_has_int_constants_and_defects():
+    primal, dual = case_inputs("I", QQ)
+    double = assemble_prejj_double(primal, dual)
+    assert all(type(x) is int for row in double.ambient.c for v in row for x in v)
+    # the identity form is not invariant on this ambient, so there are defects
+    form = BilinearForm(LinearMap.identity(QQ, 2 * primal.dim))
+    report = check_invariance(dataclasses.replace(double, form=form), max_witnesses=64)
+    assert report.witnesses
+    assert all(type(x) is int for w in report.witnesses for x in w.defect)
+
+
 # ---------------------------------------------------------------------------
 # three-way equivalence and the dual lift sign
 # ---------------------------------------------------------------------------

@@ -166,6 +166,15 @@ def test_prime_coercion_of_fractions():
         GF5.of(Fraction(1, 5))
 
 
+def test_integral_rationals_are_ints():
+    for value in (QQ.of(Fraction(6, 3)), QQ.parse("-8/4"), QQ.of("3"), QQ.inv(QQ.of(-1)),
+                  QQ.inv(Fraction(1, 3)), QQ.of(True), QQ.zero, QQ.one):
+        assert type(value) is int
+    assert QQ.of(True) == 1
+    assert type(QQ.of("1/2")) is Fraction
+    assert QQ.inv(QQ.of(2)) == Fraction(1, 2)
+
+
 def test_characteristic_warnings_only_for_2_and_3():
     assert characteristic_warnings(GF2)
     assert characteristic_warnings(GF3)

@@ -212,6 +212,20 @@ def test_module_container_needs_module_dim_or_maps(classes_qq):
             parse(doc)
 
 
+def test_missing_fields_raise_format_error(classes_qq):
+    bimodule, rep = (doc for _, doc, _ in module_containers(classes_qq))
+    entry = {"left": [0, 0], "right": [0, 1], "expected": ["0"] * 4}
+    cases = [(bimodule_from_json, bimodule, key) for key in ("algebra", "l", "r")]
+    cases += [(rep_from_json, rep, key) for key in ("algebra", "rho")]
+    cases += [(lambda obj: table_fixture_from_json(obj, QQ), {"entries": []}, "entries")]
+    cases += [(lambda obj: table_fixture_from_json({"entries": [obj]}, QQ), entry, key)
+              for key in ("left", "right", "expected")]
+    for parse, doc, key in cases:
+        parse(doc)
+        with pytest.raises(FormatError, match=f"^missing field '{key}'$"):
+            parse({k: v for k, v in doc.items() if k != key})
+
+
 def test_dumps_is_deterministic(classes_qq):
     doc = algebra_to_json(classes_qq["e2e2=e1"])
     assert dumps(doc) == dumps(json.loads(dumps(doc)))

@@ -187,6 +187,17 @@ def test_regular_and_adjoint_multiply_no_vectors(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_adjoint_builds_only_its_maps(monkeypatch, n):
+    # n maps L_{e_i}^T and their n transposes; no R^T family
+    built = []
+    real = LinearMap.__post_init__
+    monkeypatch.setattr(LinearMap, "__post_init__", lambda m: built.append(m) or real(m))
+    alg = rand_table_algebra(seeded(65 + n), QQ, n)
+    JJRep.adjoint(alg)
+    assert len(built) == 2 * n
+
+
 def test_zero_maps_pass(classes_qq):
     assert check_prejj_bimodule(PreJJBimodule.zero(classes_qq["e1e1=e2"], 3)).passed
 
