@@ -312,21 +312,16 @@ def sub_adjacent(alg: Algebra, halved: bool = False) -> Algebra:
     rejected over characteristic 2.  For a left pre-JJ input (or, halved, an
     antiassociative input) the result satisfies the ``jj`` identity.
     """
-    f = alg.field
+    f, n = alg.field, alg.dim
+    if halved and f.characteristic == 2:
+        raise FieldError("halved anticommutator needs characteristic != 2")
+    table = tuple(tuple(vec_add(f, alg.c[i][j], alg.c[j][i]) for j in range(n))
+                  for i in range(n))
     if halved:
-        if f.characteristic == 2:
-            raise FieldError("halved anticommutator needs characteristic != 2")
-        s = f.inv(f.of(2))
-    else:
-        s = f.one
-    n = alg.dim
-    table = tuple(
-        tuple(
-            vec_scale(f, s, vec_add(f, alg.c[i][j], alg.c[j][i]))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+        half = f.inv(f.of(2))
+        # through ``of``, so an integral QQ entry comes back as an int
+        table = tuple(tuple(tuple(map(f.of, vec_scale(f, half, v))) for v in row)
+                      for row in table)
     return Algebra(f, alg.labels, table)
 
 

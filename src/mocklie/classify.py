@@ -9,23 +9,27 @@ an algebra whose constants are variables, it yields integer equations,
 linear or quadratic in the flat constants.  The equations of an
 isomorphism, in the entries of its matrix, come the same way from
 ``algebra.product``.  One depth-first solver serves both: it fixes the
-variables one by one in index order and checks each equation as soon as
-its highest variable is fixed, so whole subtrees of the search space are
-cut at once.  Its one guard is ``max_scan``, on the assignments it tries.
+variables one by one in index order and applies each equation as soon as
+its highest variable is fixed, solving it when it is linear in that
+variable over GF(p), so whole subtrees of the search space are cut at
+once.  Its one guard is ``max_scan``, on the assignments it tries.
 
-Orbits are computed without listing GL_n(F_p): ``transport_tuple``, the
-basis-change kernel ``algebra.transport_constants`` with a cached inverse,
-expands each unassigned solution under a generating set of the group (the
-transvections I + E_ij and, for p > 2, diag(w, 1, ..., 1) with w the
-smallest primitive root mod p).  The group is finite, so the closure under
-the generators is the whole orbit.  Everything is deterministic: solutions
-are produced in lexicographic order, orbit representatives are the
-lexicographically smallest members, censuses compare byte-identical.
+Orbits are computed without listing GL_n(F_p): each unassigned solution is
+expanded under a generating set of the group (the transvections I + E_ij
+and, for p > 2, diag(w, 1, ..., 1) with w the smallest primitive root mod
+p).  A basis change is linear in the constants, so each image is one
+``combination`` of the generator's images of the unit tuples, read once by
+``transport_tuple`` (``algebra.transport_constants``, cached inverse).  The
+group is finite, so the closure under the generators is the whole orbit.
+Everything is deterministic: solutions are produced in lexicographic order,
+orbit representatives are the lexicographically smallest members, censuses
+compare byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -68,37 +72,43 @@ class OrbitCensus:
 # polynomial equations and the depth-first solver
 # ---------------------------------------------------------------------------
 
-class _Polynomials:
-    """Polynomials in indexed variables, as {monomial: coefficient}.
+class _Poly(dict):
+    """A polynomial in indexed variables, as {monomial: coefficient}: a
+    monomial is a sorted tuple of variable indices; coefficients are
+    integers, or rationals for the equations of an isomorphism over QQ."""
 
-    A monomial is a sorted tuple of variable indices; coefficients are
-    integers, or rationals for the equations of an isomorphism over QQ.
-    This is the part of the field interface that the defect generators,
-    ``product`` and ``combination`` use, so running them over variables
-    yields equations.
-    """
-
-    zero = {}
-
-    @staticmethod
-    def add(a, b):
-        out = dict(a)
-        for mono, c in b.items():
+    def __add__(self, other):
+        out = _Poly(self)
+        for mono, c in other.items():
             out[mono] = out.get(mono, 0) + c
         return out
 
-    @staticmethod
-    def sub(a, b):
-        return _Polynomials.add(a, {mono: -c for mono, c in b.items()})
+    def __radd__(self, zero):  # 0 + self: each entry of ``combination`` starts at 0
+        return self
 
-    @staticmethod
-    def mul(a, b):
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
+    def __sub__(self, other):
+        return self + _Poly({mono: -c for mono, c in other.items()})
+
+    def __mul__(self, other):
+        out = _Poly()
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
                 mono = tuple(sorted(m1 + m2))
                 out[mono] = out.get(mono, 0) + c1 * c2
         return out
+
+
+class _Polynomials:
+    """``_Poly`` as a field: the part of the field interface that the defect
+    generators, ``product`` and ``combination`` use, so running them over
+    variables yields equations."""
+
+    zero = _Poly()
+    add, sub, mul = operator.add, operator.sub, operator.mul
+
+    @staticmethod
+    def reduce(values) -> tuple:
+        return tuple(x or _Poly() for x in values)
 
 
 def _compile(polys, size: int, modulus: int) -> tuple:
@@ -148,12 +158,13 @@ def _solve(equations, domains, modulus: int, stats: dict, max_scan: int):
     depth-first in index order, each domain's values in their given order,
     so ascending domains yield the solutions in lexicographic order.  On
     entering depth d each equation filed under x_d is evaluated once on the
-    fixed prefix, leaving a * v^2 + b * v + k to test per candidate value v,
-    by ``% modulus == 0``, or by ``== 0`` when the modulus is 0; the values
-    that pass one equation go on to the next.  ``stats["visited"]`` counts
-    the sizes of the domains entered, before filtering; past ``max_scan``,
-    ``FieldError``.  So a domain larger than ``max_scan``, or too large to
-    count, raises ``FieldError`` before the search.
+    fixed prefix, leaving a * v^2 + b * v + k.  With a modulus and a = 0 it
+    is solved (the root -k / b, all values or none); otherwise each value v
+    is tested, by ``% modulus == 0``, or by ``== 0`` when the modulus is 0.
+    The values that pass one equation go on to the next.  ``stats["visited"]``
+    counts the sizes of the domains entered, before filtering; past
+    ``max_scan``, ``FieldError``, raised before the search for a domain
+    larger than ``max_scan`` or too large to count.
     """
     for values in domains:
         try:
@@ -177,10 +188,15 @@ def _solve(equations, domains, modulus: int, stats: dict, max_scan: int):
         for a, linear, free in equations[d]:
             b = sum([c * vals[u] for c, u in linear])
             k = sum([c * vals[u] * vals[w] for c, u, w in free])
-            if modulus:
-                values = [v for v in values if (a * v * v + b * v + k) % modulus == 0]
-            else:
+            if not modulus:
                 values = [v for v in values if a * v * v + b * v + k == 0]
+            elif a:
+                values = [v for v in values if (a * v * v + b * v + k) % modulus == 0]
+            elif b % modulus:
+                root = -k * pow(b, -1, modulus) % modulus
+                values = [root] if root in values else []
+            elif k % modulus:
+                return
             if not values:
                 return
         for v in values:
@@ -201,7 +217,7 @@ def _equations(n: int, p: int, kind: str) -> tuple:
     over an algebra whose constants are the variables x_0 .. x_{n^3-1}.
     """
     tensor = tuple(
-        tuple(tuple({((i * n + j) * n + k,): 1} for k in range(n)) for j in range(n))
+        tuple(tuple(_Poly({((i * n + j) * n + k,): 1}) for k in range(n)) for j in range(n))
         for i in range(n)
     )
     alg = Algebra(_Polynomials, default_labels(n), tensor)
@@ -282,6 +298,14 @@ def transport_tuple(c: tuple, flat_p: tuple, n: int, p: int) -> tuple:
     return transport_constants(c, flat_p, _inverse(flat_p, n, p), n, p)
 
 
+@lru_cache(maxsize=None)
+def _image_columns(flat_p: tuple, n: int, p: int) -> tuple:
+    """Entry t is ``transport_tuple`` of the t-th unit n^3-tuple: a basis
+    change is linear in the constants, so these columns give every image."""
+    units = (tuple(int(s == t) for s in range(n ** 3)) for t in range(n ** 3))
+    return tuple(transport_tuple(u, flat_p, n, p) for u in units)
+
+
 def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
                      max_scan: int = DEFAULT_MAX_SCAN) -> LinearMap | None:
     """Search for an invertible P with apply_basis_change(a, P) == b.
@@ -308,11 +332,11 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
     entries = range(f.p) if isinstance(f, PrimeField) else range(-bound, bound + 1)
 
     def constants(vec):
-        return tuple({(): x} if x != f.zero else {} for x in vec)
+        return tuple(_Poly({(): x} if x else {}) for x in vec)
 
     def polys():
         # column i of P is P e_i; its entry in row r is the variable x_{rn+i}
-        cols = tuple(tuple({(r * n + i,): 1} for r in range(n)) for i in range(n))
+        cols = tuple(tuple(_Poly({(r * n + i,): 1}) for r in range(n)) for i in range(n))
         poly_a = Algebra(_Polynomials, a.labels,
                          tuple(tuple(map(constants, row)) for row in a.c))
         for i in range(n):
@@ -346,7 +370,7 @@ def classify(dim: int, field: PrimeField, kind: str,
     tuples = enumerate_solutions(dim, field, kind, max_scan=max_scan, stats=stats)
     p = field.p
     solution_set = set(tuples)
-    gens = _gl_generators(p, dim)
+    columns = [_image_columns(g, dim, p) for g in _gl_generators(p, dim)]
     assigned = set()
     orbits = []
     for c in tuples:
@@ -356,8 +380,8 @@ def classify(dim: int, field: PrimeField, kind: str,
         frontier = [c]
         while frontier:
             member = frontier.pop()
-            for g in gens:
-                image = transport_tuple(member, g, dim, p)
+            for cols in columns:
+                image = combination(field, dim ** 3, ((member, cols),))
                 if image not in solution_set:
                     raise FieldError(
                         "orbit escaped the solution set; identity is not "

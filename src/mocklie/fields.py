@@ -6,8 +6,9 @@ is no floating point anywhere.  Scalars are stored raw: an ``int`` in
 ``parse`` or ``inv`` finds the value integral and a ``Fraction`` otherwise.
 Arithmetic results are not re-normalised; an integral ``Fraction`` is still
 exact, and equals and hashes as its ``int``.  The field object owns the
-arithmetic, so hot loops pay no per-element wrapper cost.  All values in
-one computation share a single field descriptor; mixing fields is an error.
+arithmetic, so hot loops pay no per-element wrapper cost, or sum natively
+and ``reduce`` once.  All values in one computation share a single field
+descriptor; mixing fields is an error.
 
 String forms: rationals render as ``"a"`` or ``"a/b"``; prime-field elements
 render as ``"k mod p"`` (plain ``"k"``, and ``"a/b"`` with b invertible mod p,
@@ -92,6 +93,10 @@ class RationalField:
             raise ZeroDivisionError("0 has no inverse")
         return self.of(Fraction(1, a))
 
+    def reduce(self, values) -> tuple:
+        """Sums of products of scalars, as a tuple of scalars."""
+        return tuple(values)
+
     def parse(self, text: str):
         return self.of(Fraction(*_parse_ratio(text, self)))
 
@@ -161,6 +166,10 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, -1, self.p)
+
+    def reduce(self, values) -> tuple:
+        """Integer sums of products of scalars, as a tuple of scalars."""
+        return tuple([x % self.p for x in values])
 
     def parse(self, text: str) -> int:
         text = text.strip()

@@ -8,9 +8,9 @@ elimination in the ambient field.
 ``combination`` is the one linear-combination loop: ``LinearMap.apply``
 and ``mul``, ``product``, ``left_mult`` and the identity generators in ``algebra``, the
 matched-pair equations in ``matched``, the linear part of
-``reps._flat_sum``, the recomputed products of ``doubles.conformance_diff``
-and the isomorphism test in ``classify`` all sum coefficients times vectors
-through it.
+``reps._flat_sum``, the recomputed products of ``doubles.conformance_diff``,
+the isomorphism test and the orbit images in ``classify`` all sum
+coefficients times vectors through it.
 """
 
 from __future__ import annotations
@@ -41,26 +41,25 @@ def vec_scale(field: Field, s, u: Vector) -> Vector:
 
 
 def vec_is_zero(field: Field, u: Vector) -> bool:
-    z = field.zero
-    return all(a == z for a in u)
+    return not any(u)
 
 
 def combination(field: Field, size: int, terms) -> Vector:
     """Sum of coeffs[k] * vectors[k] over every ``(coeffs, vectors)`` pair.
 
-    Each vector has ``size`` entries.  Zero coefficients and zero entries
-    are skipped, and only ``zero``, ``add``, ``mul`` and comparison with
-    ``zero`` are used, so ``classify._Polynomials`` works as a field too.
+    Each vector has ``size`` entries; zero coefficients and entries are
+    skipped.  Entries sum from the int 0 with native ``+`` and ``*``, and
+    ``field.reduce`` makes each a scalar once (``% p`` over GF(p)), so
+    ``classify._Polynomials``, with ``+`` and ``*``, works as a field too.
     """
-    add, mul, zero = field.add, field.mul, field.zero
-    out = [zero] * size
+    out = [0] * size
     for coeffs, vectors in terms:
         for ck, vec in zip(coeffs, vectors):
-            if ck != zero:
+            if ck:
                 for t, x in enumerate(vec):
-                    if x != zero:
-                        out[t] = add(out[t], mul(ck, x))
-    return tuple(out)
+                    if x:
+                        out[t] += ck * x
+    return field.reduce(out)
 
 
 def basis_vector(field: Field, n: int, i: int) -> Vector:
@@ -102,17 +101,10 @@ class LinearMap:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "LinearMap":
-        return cls(
-            field,
-            tuple(
-                tuple(field.one if i == j else field.zero for j in range(n))
-                for i in range(n)
-            ),
-        )
+        return cls(field, tuple(basis_vector(field, n, i) for i in range(n)))
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.entries for x in row)
+        return not any(x for row in self.entries for x in row)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -175,6 +167,8 @@ class LinearMap:
         inverse = self._gauss_jordan()[1]
         if inverse is None:
             raise ShapeError("matrix is singular")
+        if not self.field.characteristic:  # so an integral QQ entry comes back as an int
+            inverse = tuple(tuple(map(self.field.of, row)) for row in inverse)
         return LinearMap(self.field, inverse)
 
     def is_invertible(self) -> bool:

@@ -148,22 +148,21 @@ def _flat_sum(field, m, products, combinations=()):
 
     ``products`` holds pairs ``(a, b)`` and ``combinations`` pairs
     ``(coeffs, maps)``; every matrix is a row-major tuple of ``m * m``
-    scalars.  The linear part is one ``linalg.combination``, and the
-    products are added to it here.  Evaluating on flat tuples keeps the
-    checkers free of a validated ``LinearMap`` per term.
+    scalars.  The linear part is one ``linalg.combination``; the products
+    are summed onto it here with native ``+`` and ``*``, and ``field.reduce``
+    runs once at the end.  Evaluating on flat tuples keeps the checkers free
+    of a validated ``LinearMap`` per term.
     """
-    add, mul, zero = field.add, field.mul, field.zero
     acc = list(combination(field, m * m, combinations))
     for a, b in products:
         for row in range(0, m * m, m):
             for k in range(m):
                 x = a[row + k]
-                if x == zero:
-                    continue
-                for col, y in enumerate(b[k * m:(k + 1) * m]):
-                    if y != zero:
-                        acc[row + col] = add(acc[row + col], mul(x, y))
-    return tuple(acc)
+                if x:
+                    for col, y in enumerate(b[k * m:(k + 1) * m]):
+                        if y:
+                            acc[row + col] += x * y
+    return field.reduce(acc)
 
 
 def _algebra_defects(alg: Algebra, kind: str):

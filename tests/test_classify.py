@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 
@@ -13,7 +14,9 @@ from mocklie.classify import (
     _compile,
     _equations,
     _gl_generators,
+    _image_columns,
     _primitive_root,
+    _solve,
     classify,
     enumerate_solutions,
     find_isomorphism,
@@ -23,7 +26,7 @@ from mocklie.classify import (
 from mocklie.errors import FieldError, ShapeError
 from mocklie.fields import QQ, prime_field
 from mocklie.formats import census_to_json, dumps
-from mocklie.linalg import LinearMap
+from mocklie.linalg import LinearMap, combination
 
 
 ZERO8 = (0,) * 8
@@ -165,6 +168,126 @@ def test_scan_guard():
     with pytest.raises(ShapeError, match="28 unknowns"):
         _compile(unread(), 28, 5)
     assert _compile(iter(()), 27, 5) == ((),) * 27
+
+
+def brute_force_solve(equations, domains, modulus):
+    """What ``_solve`` yields and counts, by listing ``itertools.product``:
+    the tuples on which every equation vanishes, and as ``visited`` the
+    domain size of x_d times the prefixes x_0 .. x_{d-1} that pass every
+    equation filed under them, summed over d."""
+    one = len(domains)
+
+    def holds(prefix):
+        x = prefix + (1,) * (one + 1 - len(prefix))   # x_one is the constant 1
+        for d in range(len(prefix)):
+            for a, linear, free in equations[d]:
+                value = (a * x[d] * x[d] + sum(c * x[u] * x[d] for c, u in linear)
+                         + sum(c * x[u] * x[w] for c, u, w in free))
+                if (value % modulus if modulus else value) != 0:
+                    return False
+        return True
+
+    solutions = [t for t in itertools.product(*domains) if holds(t)]
+    visited = sum(len(domains[d]) * sum(map(holds, itertools.product(*domains[:d])))
+                  for d in range(one))
+    return solutions, visited
+
+
+def test_solver_on_hand_built_equations():
+    # over GF(5), with x_3 standing for the constant 1:
+    #   x0^2 - 1 = 0                          quadratic: x0 in {1, 4}
+    #   (x0 - 1) x1 + x0 + 1 = 0              at x0 = 1, b = 0 and k = 2: no x1
+    #   x2^2 - x0 x2 = 0 and x1 x2 + x1 = 0   at x1 = 0, the second keeps all x2
+    equations = (
+        ((1, (), ((4, 3, 3),)),),
+        ((0, ((1, 0), (4, 3)), ((1, 0, 3), (1, 3, 3))),),
+        ((1, ((4, 0),), ()), (0, ((1, 1),), ((1, 1, 3),))),
+    )
+    domains = [range(5)] * 3
+    stats = {}
+    assert list(_solve(equations, domains, 5, stats, 10 ** 6)) == [(4, 0, 0), (4, 0, 4)]
+    assert stats["visited"] == 5 + 2 * 5 + 1 * 5
+    assert brute_force_solve(equations, domains, 5) == ([(4, 0, 0), (4, 0, 4)], 20)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 5, 7, 0])
+def test_solver_matches_brute_force(modulus):
+    # random linear and quadratic equations, coefficients unreduced, on
+    # three or four variables; over QQ (modulus 0) the values are -2 .. 2
+    rng = seeded(26)
+    values = range(modulus) if modulus else range(-2, 3)
+    for _ in range(60):
+        size = rng.choice((3, 4))
+        equations = []
+        for d in range(size):
+            lower = list(range(d)) + [size]   # x_size is the constant 1
+            filed = []
+            for _ in range(rng.randint(0, 2)):
+                a = rng.choice((0, 0, rng.randint(-3, 3)))
+                linear = tuple((rng.randint(-3, 3), rng.choice(lower))
+                               for _ in range(rng.randint(0, 2)))
+                free = tuple((rng.randint(-3, 3), *sorted(rng.choices(lower, k=2)))
+                             for _ in range(rng.randint(0, 2)))
+                filed.append((a, linear, free))
+            equations.append(tuple(filed))
+        domains = [values] * size
+        stats = {}
+        solutions = list(_solve(equations, domains, modulus, stats, 10 ** 6))
+        assert (solutions, stats["visited"]) == brute_force_solve(equations, domains, modulus)
+
+
+# sha256 of ``dumps(census_to_json(classify(dim, GF(p), kind)))``, metadata
+# and ``visited`` included: the solver and orbit closure are free to change
+# how they work, not what a census says.
+CENSUS_SHA256 = {
+    "1/2/antiassociative": "9fb39ba9712daa471ec5c3ddcb9969d29df1f6da7df061eaf6cb5a5128259b84",
+    "1/2/left_pre_jj": "4ca8110ed8c2533ec3c3e33b48b21da069b6764b0a9d7af5cbff765aa202b38a",
+    "1/2/right_pre_jj": "80a153b9967acfe83df0a473623b85c2aacb1554779c684fc98ba1a7c8de8cbe",
+    "1/2/jj": "2fe379bb05e208a2422fa92bd669f42769b90378d245169ef77852230b8321b0",
+    "1/2/operad": "d45bc974cae8506c97f7a8441073cfb8f4fca7949fae383444a9e042c5842aa3",
+    "1/3/antiassociative": "f769b35e201bc8240149b14fd0721c068f506e9003ebe3b9fad2579505614ffc",
+    "1/3/left_pre_jj": "96607a2840f8cc09e295e4d6ecc5f0e5207a2095c57b391b41599a90eb8065f7",
+    "1/3/right_pre_jj": "3a33dd4777cf0ccdf407bd74ac7dd912172a25f42a92a29738d7c11bae066d9a",
+    "1/3/jj": "7e63f41970922a15bde2fc0b0d8165dcb625b99bd261dc0ee46e5073bc01d967",
+    "1/3/operad": "0fdaca5f671079cd3ad61733f4f364e7918649f7b3a5d4866e54d9caceeca6d9",
+    "1/5/antiassociative": "4785d25ac70d4a71e02b048e9feb91d093a57db9a395abc34866faaf69354ebf",
+    "1/5/left_pre_jj": "fe55ef57285db714f2c2d70cc0e903217abb8755b4c940e3aeca2a6700f1e9a5",
+    "1/5/right_pre_jj": "fd2d2995e30b5b49aee802291cdb5e5f9e6dc547ff2086721f2f3d2600f1c5f9",
+    "1/5/jj": "1a5c49bdc2152769edef3e829d3eda2d9fc3698b728510261d0d3b31dddc21f7",
+    "1/5/operad": "5dab0243f60027768742f1c474bd734b93650b62727efb624e3e68ba5103c03a",
+    "1/7/antiassociative": "6c535ccec9e3a3735e3c7f14259127ef391a4b90970c4ba8667513f3d038280b",
+    "1/7/left_pre_jj": "3418dc61d65a8acef67908882ee4615db9104c2637a07f32a2223f91f81c79c6",
+    "1/7/right_pre_jj": "cdc28b1b3ad80f274b247939fd2d14ee46059c22877200bd25bd3d5ef8862399",
+    "1/7/jj": "2d1cd72b13892b1b7e1669988597d53ec7f16071b376736029621f61d6002d29",
+    "1/7/operad": "034b3be7c1a9796598217b1738149a0bf30b6608638839935f1f7d71464363e6",
+    "2/2/antiassociative": "d9865e4adf2228220d93a2b23aa66ca50770d26a285faa3614360a9483a86bee",
+    "2/2/left_pre_jj": "a990f3b51a4d86c92d9f8b4b67dae48af1856bc917526682419db176a55053fd",
+    "2/2/right_pre_jj": "f02f1262344fdcb12c60e1a0de4e5940e6c14e2963d1b01403b71a3c94a3fa98",
+    "2/2/jj": "d51cbe0265f1809456c9add8b6adcdc91a3c8daaa3cec83ac7e343d8abf0d497",
+    "2/2/operad": "4a1afdddc8c9c47d20e3cc3641514c7882ae55dcd93c468604a51ea31a6bb371",
+    "2/3/antiassociative": "4a4ff66552ed16badd7d2622a27e1a99f6ecc29f270d07d6be36a8c01fca5797",
+    "2/3/left_pre_jj": "218a9577741abecef5a4cb937303641e74a7634fcdeaf96fbd578bdcab93532a",
+    "2/3/right_pre_jj": "0029065fe7d55f8efd1e4c6b182394fb8e3e8514462dbbd9790ea8c3fca93f67",
+    "2/3/jj": "09464eddef92049a408490673db1f7105e981fcd6157fd13bee766dc0c8bdb32",
+    "2/3/operad": "606ca093c7d38730caabeb5f5fe075dfd1f19d16982c6277233de6d95f998eac",
+    "2/5/antiassociative": "c3f170daeca7b17c0c74130e4207aebd24baeb1c0a2c7529233e14840e2e4f95",
+    "2/5/left_pre_jj": "03b819dab4685f76f024b184ba7cf6871334d7dc337656340570c344cc7cd3b6",
+    "2/5/right_pre_jj": "c87981312d8c2e4e4fbca22d048a3efbcbc2047cb9d9e72d0dca2befd2c87224",
+    "2/5/jj": "789e100105a9e040eb117ba3d3a9750daa3200c2e353a24d56cecd456e1a7935",
+    "2/5/operad": "fc2e5f93c404c8f8e5ebf7cec55e4eb215b31b7948a5329cb450afbe4106c17d",
+    "2/7/antiassociative": "cc0bdcf3334706ac89054de68815b0f4e3f817c1deaa7c0adcdc6db243e085ef",
+    "2/7/left_pre_jj": "00d61bcc97c835e33f68d65d0eaf773145669dbfa834d49e04640a3660adb4fd",
+    "2/7/right_pre_jj": "fea889f8646ad0ae1260fd813e2228a46f585fa5e4dfc9a88ff0bd0f0274ea9e",
+    "2/7/jj": "443b183d3ab1b3aa58cf3be7937aafe4c0e7a6ed7dc0add9bc4811813334d4df",
+    "2/7/operad": "1c5eac2557e0640d95aaff55f68125d8c9ceb8aaecd97b935919a4aee18a7fa0",
+}
+
+
+def test_census_documents_are_pinned():
+    for key, digest in CENSUS_SHA256.items():
+        dim, p, kind = key.split("/")
+        text = dumps(census_to_json(classify(int(dim), prime_field(int(p)), kind)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, key
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +585,23 @@ def test_orbits_match_full_closure(p):
         assert [(o.representative, o.size) for o in census.orbits] == \
             full_closure_orbits(solutions, 2, p), kind
         assert census.metadata["gl_order"] == len(gl_matrices(p, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_orbit_images_from_generator_columns(p):
+    # a generator's image of c, read as one combination of its cached
+    # columns, is the basis change itself: on every dim 1-2 solution, and
+    # on random dim-3 tuples over GF(2) and GF(3)
+    field = prime_field(p)
+    rng = seeded(p)
+    cases = [(n, c) for n in (1, 2) for c in
+             sorted({s for kind in IDENTITY_KINDS for s in enumerate_solutions(n, field, kind)})]
+    if p < 5:
+        cases += [(3, tuple(rng.randrange(p) for _ in range(27))) for _ in range(200)]
+    for n, c in cases:
+        for g in _gl_generators(p, n):
+            image = combination(field, n ** 3, ((c, _image_columns(g, n, p)),))
+            assert image == transport_tuple(c, g, n, p), (n, c, g)
 
 
 def test_orbit_escape_is_detected(monkeypatch):

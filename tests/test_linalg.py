@@ -1,12 +1,13 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GF5, rand_invertible, rand_matrix, seeded
+from conftest import GF2, GF5, rand_invertible, rand_matrix, seeded
 from mocklie.errors import ShapeError
-from mocklie.fields import QQ
-from mocklie.linalg import LinearMap
+from mocklie.fields import QQ, prime_field
+from mocklie.linalg import LinearMap, combination
 
 
 def test_apply_and_mul_agree():
@@ -40,6 +41,39 @@ def test_inverse_round_trip_prime_field():
 def test_inverse_round_trip_rationals():
     m = LinearMap.from_rows(QQ, [[2, 1], [7, 4]])
     assert m.mul(m.inverse()) == LinearMap.identity(QQ, 2)
+    # an integral inverse holds ints, not integral Fractions
+    inverse = LinearMap.from_rows(QQ, [[2, 1], [1, 1]]).inverse()
+    assert inverse.entries == ((1, -1), (-1, 2))
+    assert all(type(x) is int for row in inverse.entries for x in row)
+
+
+@pytest.mark.parametrize("field", [GF2, GF5, prime_field(7), QQ], ids=repr)
+def test_combination_matches_field_arithmetic(field):
+    # reference: one field.add(out, field.mul(c, x)) per term, zeros included
+    def reference(size, terms):
+        out = [field.zero] * size
+        for coeffs, vectors in terms:
+            for ck, vec in zip(coeffs, vectors):
+                for t, x in enumerate(vec):
+                    out[t] = field.add(out[t], field.mul(ck, x))
+        return tuple(out)
+
+    rng = seeded(26)
+
+    def scalar():
+        if field is QQ:   # negative ints, Fractions and zeros
+            return QQ.of(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))))
+        return rng.choice((0, rng.randrange(field.p)))
+
+    for _ in range(200):
+        size, count = rng.randint(1, 5), rng.randint(0, 4)
+        terms = [(tuple(scalar() for _ in range(count)),
+                  tuple(tuple(scalar() for _ in range(size)) for _ in range(count)))
+                 for _ in range(rng.randint(0, 3))]
+        out = combination(field, size, terms)
+        assert out == reference(size, terms)
+        if field is not QQ:
+            assert all(type(x) is int and 0 <= x < field.p for x in out)
 
 
 def test_singular_matrix_rejected():
