@@ -28,6 +28,7 @@ from .algebra import (
     sub_adjacent,
     tuple_from_algebra,
 )
+from .catalog import case_conformance
 from .classify import (
     Orbit,
     OrbitCensus,
@@ -43,7 +44,6 @@ from .doubles import (
     build_jj_double,
     build_prejj_double,
     canonical_form,
-    case_conformance,
     check_invariance,
     conformance_diff,
     dual_structure_maps,

@@ -44,7 +44,6 @@ from .linalg import (
     basis_vector,
     combination,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
     vec_zero,
@@ -265,7 +264,7 @@ def report_from_defects(name, field, defect_iter, max_witnesses=DEFAULT_MAX_WITN
     for item in defect_iter:
         indices, defect = item[0], item[1]
         tag = item[2] if len(item) > 2 else ""
-        if vec_is_zero(field, defect):
+        if not any(defect):
             continue
         if len(witnesses) >= cap:
             truncated = True
@@ -292,8 +291,7 @@ def check_identity(alg: Algebra, kind: str,
 
 def passes_identity(alg: Algebra, kind: str) -> bool:
     """Early-exit verdict of ``check_identity`` (no witness collection)."""
-    f = alg.field
-    return all(vec_is_zero(f, defect) for _, defect in _defects(alg, kind))
+    return not any(any(defect) for _, defect in _defects(alg, kind))
 
 
 def _defects(alg: Algebra, kind: str):
@@ -384,14 +382,14 @@ def tuple_from_algebra(alg: Algebra) -> tuple:
 
 
 def transport_constants(c: tuple, flat_p: tuple, flat_p_inv: tuple, n: int,
-                        modulus: int) -> tuple:
+                        field: Field) -> tuple:
     """Flat structure constants ``c`` rewritten in the basis f_i = P e_i.
 
     ``c`` holds n^3 constants in (i, j, k) lex order and ``flat_p``,
     ``flat_p_inv`` hold P and P^-1, row-major; entry (i, j) of the result is
-    P^-1 (f_i f_j), mod ``modulus``, or exact when it is 0.  As in
-    ``linalg.combination``, zero entries of P, zero constants and zero
-    partial sums are skipped.
+    P^-1 (f_i f_j).  As in ``linalg.combination``, sums run natively, with
+    zero entries of P, zero constants and zero partial sums skipped, and
+    ``field.reduce`` makes scalars of each f_i f_j and of the result.
     """
     cols = [[(a, flat_p[a * n + i]) for a in range(n) if flat_p[a * n + i]]
             for i in range(n)]
@@ -408,13 +406,10 @@ def transport_constants(c: tuple, flat_p: tuple, flat_p_inv: tuple, n: int,
                     for k, x in enumerate(c[base:base + n]):
                         if x:
                             w[k] += s * x
-            if modulus:
-                w = [x % modulus for x in w]
-            terms = [(t, x) for t, x in enumerate(w) if x]
+            terms = [(t, x) for t, x in enumerate(field.reduce(w)) if x]
             for row in inv_rows:
-                s = sum([row[t] * x for t, x in terms])
-                out.append(s % modulus if modulus else s)
-    return tuple(out)
+                out.append(sum([row[t] * x for t, x in terms]))
+    return field.reduce(out)
 
 
 def apply_basis_change(alg: Algebra, p: LinearMap) -> Algebra:
@@ -429,8 +424,7 @@ def apply_basis_change(alg: Algebra, p: LinearMap) -> Algebra:
         raise ShapeError("basis-change matrix shape does not match the algebra")
     p_inv = p.inverse()  # raises ShapeError when singular
     c = transport_constants(tuple_from_algebra(alg), tuple(itertools.chain(*p.entries)),
-                            tuple(itertools.chain(*p_inv.entries)), alg.dim,
-                            alg.field.characteristic)
+                            tuple(itertools.chain(*p_inv.entries)), alg.dim, alg.field)
     return algebra_from_tuple(alg.field, alg.dim, c, alg.labels)
 
 

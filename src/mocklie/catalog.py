@@ -1,7 +1,7 @@
 """Reference two-dimensional algebras and double-construction tables.
 
-The catalog is the set of JSON documents under ``data/``; this module only
-reads them with the ``formats`` parsers.
+The catalog is the set of JSON documents under ``data/``; this module reads
+them with the ``formats`` parsers and assembles each case's conformance.
 
 The four catalogued dim-2 multiplication tables (keys ``"zero"``,
 ``"e1e1=e2"``, ``"e2e1=e2"``, ``"e2e2=e1"``, files ``class_<key>.json`` with
@@ -27,6 +27,7 @@ import json
 from pathlib import Path
 
 from .algebra import Algebra
+from .doubles import DoubleConstruction, assemble_prejj_double, conformance_diff
 from .fields import QQ, Field
 from .formats import algebra_from_json, coerce_algebra, table_fixture_from_json
 
@@ -76,3 +77,10 @@ def case_table_path(case: str) -> Path:
 def case_table(case: str) -> tuple:
     """The catalogued 16-entry expected table of a case, in source order."""
     return table_fixture_from_json(_document(case_table_path(case)), QQ)
+
+
+def case_conformance(case: str, field: Field) -> tuple[DoubleConstruction, list[dict]]:
+    """Assemble a catalogued case's double and diff it against its table."""
+    primal, dual = case_inputs(case, field)
+    double = assemble_prejj_double(primal, dual)
+    return double, conformance_diff(double, case_table(case))

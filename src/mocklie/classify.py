@@ -104,7 +104,7 @@ class _Polynomials:
     variables yields equations."""
 
     zero = _Poly()
-    add, sub, mul = operator.add, operator.sub, operator.mul
+    sub, mul = operator.sub, operator.mul
 
     @staticmethod
     def reduce(values) -> tuple:
@@ -295,7 +295,7 @@ def _gl_generators(p: int, n: int) -> tuple:
 def transport_tuple(c: tuple, flat_p: tuple, n: int, p: int) -> tuple:
     """``c`` in the basis given by the columns of ``flat_p`` over GF(p);
     ``ShapeError`` when ``flat_p`` is singular."""
-    return transport_constants(c, flat_p, _inverse(flat_p, n, p), n, p)
+    return transport_constants(c, flat_p, _inverse(flat_p, n, p), n, PrimeField(p))
 
 
 @lru_cache(maxsize=None)
@@ -346,8 +346,7 @@ def find_isomorphism(a: Algebra, b: Algebra, bound: int = 2,
 
     equations = _compile(polys(), n * n, f.characteristic)
     for flat in _solve(equations, [entries] * (n * n), f.characteristic, {}, max_scan):
-        mat = LinearMap(f, tuple(tuple(map(f.of, flat[r * n:(r + 1) * n]))
-                                 for r in range(n)))
+        mat = LinearMap(f, tuple(flat[r * n:(r + 1) * n] for r in range(n)))
         if mat.is_invertible():
             return mat
     return None

@@ -2,8 +2,9 @@
 
 Verbs: check, subadjacent, semidirect, double, classify, iso, table.
 Exit codes: 0 = pass/success, 1 = a check ran and failed, 2 = usage, IO,
-parse or shape errors.  All outputs are deterministic JSON except ``table``,
-which renders a human-readable multiplication table.
+parse or shape errors: any ``MockLieError``, ``CliError`` included, which
+``main`` reports as one ``error:`` line.  All outputs are deterministic JSON
+except ``table``, which renders a human-readable multiplication table.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ IDENTITY_ALIASES = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
+class CliError(MockLieError):
+    """A refused argument, or a file that cannot be read, parsed or written."""
 
 
 def _parse_field(text):
@@ -333,9 +332,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except MockLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

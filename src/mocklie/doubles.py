@@ -11,7 +11,8 @@ is the double construction.  Invariance B(uv, w) = B(u, vw) holds for every
 assembled double, valid matched pair or not: it only uses the transpose
 structure of the actions.  ``check_invariance`` reads it off M c, the form
 matrix M times each ambient product, using the symmetry of M that
-``BilinearForm`` enforces.
+``BilinearForm`` enforces.  The catalogued cases and their conformance
+reports live in ``catalog``; this module imports neither it nor ``formats``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .algebra import (
     report_from_defects,
     sub_adjacent,
 )
-from .catalog import case_inputs, case_table
 from .errors import ShapeError, require
 from .fields import Field, require_same_field
 from .linalg import LinearMap, combination
@@ -245,10 +245,3 @@ def conformance_diff(double: DoubleConstruction, table) -> list[dict]:
             }
         )
     return rows
-
-
-def case_conformance(case: str, field: Field) -> tuple[DoubleConstruction, list[dict]]:
-    """Assemble a catalogued case's double and diff it against its table."""
-    primal, dual = case_inputs(case, field)
-    double = assemble_prejj_double(primal, dual)
-    return double, conformance_diff(double, case_table(case))

@@ -5,8 +5,9 @@ is no floating point anywhere.  Scalars are stored raw: an ``int`` in
 ``[0, p)`` for a prime field; for the rationals, an ``int`` when ``of``,
 ``parse`` or ``inv`` finds the value integral and a ``Fraction`` otherwise.
 Arithmetic results are not re-normalised; an integral ``Fraction`` is still
-exact, and equals and hashes as its ``int``.  The field object owns the
-arithmetic, so hot loops pay no per-element wrapper cost, or sum natively
+exact, and equals and hashes as its ``int``; ``zero`` and ``one`` are the
+ints 0 and 1 in both fields.  The field object owns the arithmetic and the
+reduction, so hot loops pay no per-element wrapper cost, or sum natively
 and ``reduce`` once.  All values in one computation share a single field
 descriptor; mixing fields is an error.
 
@@ -122,6 +123,8 @@ class PrimeField:
     """
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -130,14 +133,6 @@ class PrimeField:
     @property
     def characteristic(self) -> int:
         return self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1 % self.p
 
     def of(self, value) -> int:
         if isinstance(value, bool):

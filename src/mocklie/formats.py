@@ -11,22 +11,22 @@ indices; omitted pairs multiply to zero).  ``dim``, ``i``, ``j``, ``p`` and
 ``module_dim`` must be JSON integers and ``basis``, ``products`` and
 ``coeffs`` lists and ``basis`` entries strings; anything else raises
 ``FormatError``, and so does a ``dim`` or ``module_dim`` above ``MAX_DIM``.
+Bimodule ``{"algebra", "module_dim", "l", "r"}`` and representation
+``{"algebra", "module_dim", "rho"}`` containers share one reader.  This module
+imports the constructions it serializes; none of them imports it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
 from .algebra import Algebra, CheckReport
 from .classify import OrbitCensus
+from .doubles import DoubleConstruction
 from .errors import MockLieError
 from .fields import Field, PrimeField, QQ, RationalField
 from .linalg import LinearMap
 from .reps import JJRep, PreJJBimodule
-
-if TYPE_CHECKING:  # doubles imports catalog, which imports this module
-    from .doubles import DoubleConstruction
 
 SCHEMA_VERSION = 1
 
@@ -164,24 +164,18 @@ def bimodule_to_json(bm: PreJJBimodule) -> dict:
     }
 
 
-def _map_lists(obj, keys):
-    """The lists of matrices under ``keys`` of the JSON object ``obj``."""
+def _module_from_json(obj, keys, build):
+    """``build(algebra, *map lists)`` of the container ``obj``, lists under ``keys``.
+
+    The module dimension is ``module_dim`` or else the size of the first map
+    under ``keys[0]``.  Above ``MAX_DIM``, or on a ``MockLieError`` of
+    ``build``, ``FormatError``."""
     if not isinstance(obj, dict):
         raise FormatError("module container must be a JSON object")
     lists = [_required(obj, key) for key in keys]
     for key, maps in zip(keys, lists):
         if not isinstance(maps, list):
             raise FormatError(f"{key!r} must be a list of matrices")
-    return lists
-
-
-def _module_container(obj, keys):
-    """The algebra, module dimension and map lists of a module container.
-
-    The module dimension is ``module_dim`` or else the size of the first map
-    under ``keys[0]``; above ``MAX_DIM`` it raises ``FormatError``.
-    """
-    lists = _map_lists(obj, keys)
     alg = algebra_from_json(_required(obj, "algebra"))
     if obj.get("module_dim") is not None:
         m = _integer(obj["module_dim"], "module_dim")
@@ -191,17 +185,15 @@ def _module_container(obj, keys):
         raise FormatError(f"container needs 'module_dim' or a nonempty {keys[0]!r}")
     if m > MAX_DIM:
         raise FormatError(f"module_dim {m} is above the limit of {MAX_DIM}")
-    return alg, m, lists
+    families = [[matrix_from_json(alg.field, rows, m) for rows in maps] for maps in lists]
+    try:
+        return build(alg, *families)
+    except MockLieError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def bimodule_from_json(obj) -> PreJJBimodule:
-    alg, m, (ls, rs) = _module_container(obj, ("l", "r"))
-    left = tuple(matrix_from_json(alg.field, rows, m) for rows in ls)
-    right = tuple(matrix_from_json(alg.field, rows, m) for rows in rs)
-    try:
-        return PreJJBimodule(alg, left, right)
-    except MockLieError as exc:
-        raise FormatError(str(exc)) from None
+    return _module_from_json(obj, ("l", "r"), PreJJBimodule)
 
 
 def rep_to_json(rep: JJRep) -> dict:
@@ -213,12 +205,7 @@ def rep_to_json(rep: JJRep) -> dict:
 
 
 def rep_from_json(obj) -> JJRep:
-    alg, m, (rho,) = _module_container(obj, ("rho",))
-    maps = tuple(matrix_from_json(alg.field, rows, m) for rows in rho)
-    try:
-        return JJRep(alg, maps)
-    except MockLieError as exc:
-        raise FormatError(str(exc)) from None
+    return _module_from_json(obj, ("rho",), JJRep)
 
 
 def report_to_json(report: CheckReport, field: Field) -> dict:

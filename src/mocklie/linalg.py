@@ -40,10 +40,6 @@ def vec_scale(field: Field, s, u: Vector) -> Vector:
     return tuple(field.mul(s, a) for a in u)
 
 
-def vec_is_zero(field: Field, u: Vector) -> bool:
-    return not any(u)
-
-
 def combination(field: Field, size: int, terms) -> Vector:
     """Sum of coeffs[k] * vectors[k] over every ``(coeffs, vectors)`` pair.
 

@@ -44,12 +44,12 @@ from mocklie.algebra import (
     sub_adjacent,
     tuple_from_algebra,
 )
-from mocklie.catalog import CASE_NAMES, case_inputs, case_table, class_algebras
+from mocklie.catalog import (CASE_NAMES, case_conformance, case_inputs, case_table,
+                             class_algebras)
 from mocklie.classify import classify, enumerate_solutions, transport_tuple
 from mocklie.doubles import (
     assemble_prejj_double,
     build_prejj_double,
-    case_conformance,
     check_invariance,
     conformance_diff,
     dual_structure_maps,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -8,7 +9,7 @@ from conftest import GF5, brute_force_antiassociative
 from mocklie.algebra import (Algebra, apply_basis_change, passes_identity,
                              structure_equal, sub_adjacent)
 from mocklie.catalog import case_inputs, case_table_path, class_algebra
-from mocklie.cli import build_parser, main
+from mocklie.cli import IDENTITY_ALIASES, build_parser, main
 from mocklie.fields import QQ
 from mocklie.formats import (
     algebra_from_json,
@@ -660,3 +661,79 @@ def test_iso_entry_range_past_max_scan_is_refused(tmp_path, capsys, flags):
     a = write_algebra(tmp_path / "a.json", class_algebra("e1e1=e2"))
     assert main(["iso", a, a, *flags]) == 2
     assert_one_error_line(capsys, "more than 10000000 assignments")
+
+
+# sha256 of each verb's (argv, exit code, stdout, stderr) runs over the
+# bundled files, with the data and tmp directories written as placeholders:
+# the CLI is free to change how it works, not a byte of what it prints.
+CLI_SHA256 = {
+    "check": "3b55b6ed7a6add7b263ef8c7fa7602b7314c3e87da089a6d1bf7b63b9bb1a94f",
+    "table": "9659fb90355ff9a7ab9038e95054a7ff8b1154d7005630fd129e95397d2bd8a1",
+    "subadjacent": "469e1b64acd868335379e33495f6cd7db8b8f134d8bb1585f41f70c66ca49940",
+    "double": "e24f60d43bbba21874d54b8dd719acf8e3b06bde9d50178af7afea5f8b16fc9e",
+    "iso": "38319aeb421dbf3d93f0c46e18a997de447f2c64b8a43d8caabeda3e9ce5f771",
+    "classify": "1ed55d4a34036cf3677986d36d7230c4de908a4e823ac862c982daa2c0a29100",
+    "semidirect": "9d7f1a5ae371a350e8aa76c81bdbf7bb897a342ddfcd5b4011684bab71e926a4",
+    "errors": "703b8b0b9956dc0d892f9dadc020e2e2aef96285dd29abc037ca4cc7db6f5c13",
+}
+
+
+def pinned_cli_runs(tmp_path):
+    """The argument lists of each pinned verb, keyed as ``CLI_SHA256``."""
+    data = case_table_path("I").parent
+    classes = [str(path) for path in sorted(data.glob("class_*.json"))]
+    containers = []
+    for k, path in enumerate(classes):
+        alg = algebra_from_json(json.loads(Path(path).read_text()))
+        for name, doc in (("bm", bimodule_to_json(PreJJBimodule.regular(alg))),
+                          ("rep", rep_to_json(JJRep.adjoint(sub_adjacent(alg))))):
+            containers.append(tmp_path / f"{name}{k}.json")
+            containers[-1].write_text(dumps(doc))
+    no_r = bimodule_to_json(PreJJBimodule.regular(class_algebra("e1e1=e2")))
+    del no_r["r"]
+    (tmp_path / "no_r.json").write_text(dumps(no_r))
+    (tmp_path / "m33.json").write_text(dumps(zero_module_container(False, 33)))
+    (tmp_path / "bad.json").write_text("not json\n")
+    fields = ([], ["--field", "prime:5"], ["--field", "prime:7"])
+    square = classes[0]
+    return {
+        "check": [["check", path, "--identity", identity, *field]
+                  for path in classes for identity in IDENTITY_ALIASES for field in fields],
+        "table": [["table", path, *field] for path in classes for field in fields],
+        "subadjacent": [["subadjacent", path, *halved]
+                        for path in classes for halved in ([], ["--halved"])],
+        "double": [["double", str(data / f"class_{base}.json"),
+                    str(data / f"case_{case}_dual.json"), "--kind", kind, *conformance]
+                   for case, base in (("I", "e1e1_e2"), ("II", "e2e1_e2"),
+                                      ("III", "e2e2_e1"))
+                   for kind in ("prejj", "jj")
+                   for conformance in ([], ["--conformance", case])],
+        "iso": [["iso", a, b, *field] for a in classes for b in classes
+                for field in (["--field", "prime:5"], [])],
+        "classify": [["classify", "--dim", str(dim), "--prime", str(p), "--kind", kind]
+                     for dim in (1, 2) for p in (2, 3) for kind in IDENTITY_ALIASES],
+        "semidirect": [["semidirect", str(path)] for path in containers],
+        "errors": [
+            ["check", str(tmp_path / "missing.json"), "--identity", "jj"],
+            ["check", str(tmp_path / "bad.json"), "--identity", "jj"],
+            ["semidirect", str(tmp_path / "no_r.json")],
+            ["semidirect", str(tmp_path / "m33.json")],
+            ["check", square, "--identity", "jj", "--field", "prime:abc"],
+            ["check", square, "--identity", "jj",
+             "--out", str(tmp_path / "missing-dir" / "out.json")],
+            ["check", square, "--identity", "jj", "--max-witnesses", "0"],
+            ["check", square, "--identity", "lie"],
+        ],
+    }
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    data = str(case_table_path("I").parent)
+    for verb, runs in pinned_cli_runs(tmp_path).items():
+        seen = []
+        for argv in runs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            seen.append([argv, code, out, err])
+        text = json.dumps(seen).replace(data, "<data>").replace(str(tmp_path), "<tmp>")
+        assert hashlib.sha256(text.encode()).hexdigest() == CLI_SHA256[verb], verb

@@ -16,7 +16,7 @@ from mocklie.algebra import (
     structure_equal,
     sub_adjacent,
 )
-from mocklie.catalog import CASE_NAMES, case_inputs, case_table
+from mocklie.catalog import CASE_NAMES, case_conformance, case_inputs, case_table
 from mocklie.doubles import (
     BilinearForm,
     DoubleConstruction,
@@ -25,7 +25,6 @@ from mocklie.doubles import (
     build_jj_double,
     build_prejj_double,
     canonical_form,
-    case_conformance,
     check_invariance,
     conformance_diff,
     dual_structure_maps,

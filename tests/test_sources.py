@@ -27,3 +27,25 @@ def test_every_imported_name_is_read():
     unread = {f"{path.relative_to(ROOT)}:{line}": name
               for path in paths for line, name in unread_imports(path)}
     assert not unread
+
+
+def imported_names(path):
+    """Every dotted part of the modules and names that ``path`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_math_modules_do_not_import_the_wire_format():
+    # formats, catalog and cli read and write the constructions; the
+    # constructions never reach back up to them
+    math = ("fields", "linalg", "algebra", "reps", "matched", "doubles", "classify")
+    found = {name: sorted(imported_names(ROOT / "src" / "mocklie" / f"{name}.py")
+                          & {"formats", "catalog", "cli"})
+             for name in math}
+    assert not any(found.values()), found
