@@ -5,7 +5,13 @@ stored as a structure-constant tensor: ``c[i][j]`` is the coordinate vector
 of ``e_i * e_j``, so ``e_i * e_j = sum_k c[i][j][k] e_k``.  All identity
 checks run on basis tuples only; bilinearity makes that sufficient and keeps
 every check exact and O(n^3).  Each identity is defined once, by its defect
-generator; the census solver in ``classify`` compiles its equations from it.
+generator.  Run over variables, the generator gives the identity's
+equations in the flat constants, compiled once per (n, p, kind) at first
+use; the census solver in ``classify`` splits them.  Over a prime field at
+dims 1 and 2 the verdict comes from evaluating those equations on the
+constants, and a table that passes runs no generator; the witnesses of a
+failing table, and every verdict over QQ or at larger dims, come from the
+generators.
 Each defect is one ``linalg.combination`` of the rows ``c[i]`` (the products
 e_i e_m) and the columns e_m e_k, taken once per generator call; ``product``
 and ``left_mult`` go through the same kernel.  As matrices, the rows and
@@ -34,10 +40,12 @@ Identity kinds
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import FieldError, ShapeError
-from .fields import Field, characteristic_warnings, require_same_field
+from .fields import Field, PrimeField, characteristic_warnings, require_same_field
 from .linalg import (
     LinearMap,
     Vector,
@@ -295,12 +303,112 @@ def passes_identity(alg: Algebra, kind: str) -> bool:
 
 
 def _defects(alg: Algebra, kind: str):
+    """The defects of ``kind`` on ``alg``: none when ``_holds`` finds that the
+    identity holds, else the kind's generator, the only source of witnesses."""
+    if _holds(alg, kind):
+        return ()
     try:
         return _DEFECT_GENERATORS[kind](alg)  # a generator: no body runs here
     except KeyError:
         raise FieldError(
             f"unknown identity kind {kind!r}; expected one of {IDENTITY_KINDS}"
         ) from None
+
+
+class _Poly(dict):
+    """A polynomial in indexed variables, as {monomial: coefficient}: a
+    monomial is a sorted tuple of variable indices; coefficients are
+    integers, or rationals for the equations of an isomorphism over QQ."""
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for mono, c in other.items():
+            out[mono] = out.get(mono, 0) + c
+        return out
+
+    def __radd__(self, zero):  # 0 + self: each entry of ``combination`` starts at 0
+        return self
+
+    def __sub__(self, other):
+        return self + _Poly({mono: -c for mono, c in other.items()})
+
+    def __mul__(self, other):
+        out = _Poly()
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                mono = tuple(sorted(m1 + m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return out
+
+
+class _Polynomials:
+    """``_Poly`` as a field: the part of the field interface that the defect
+    generators, ``product`` and ``combination`` use, so running them over
+    variables yields equations."""
+
+    zero = _Poly()
+    sub, mul = operator.sub, operator.mul
+
+    @staticmethod
+    def reduce(values) -> tuple:
+        return tuple(x or _Poly() for x in values)
+
+
+def _normalised(polys, size: int, modulus: int) -> tuple:
+    """The equations ``poly == 0`` over x_0 .. x_{size-1}, sorted.
+
+    Each polynomial is linear or quadratic.  Coefficients are reduced mod
+    ``modulus``, or kept exact when it is 0.  An equation is the tuple of
+    its non-zero terms (c, u, w), standing for c * x_u * x_w and sorted by
+    (u, w), where index ``size`` stands for the constant 1.  Polynomials
+    that vanish identically are dropped, and equal equations kept once.
+    """
+    one = size
+    equations = set()
+    for poly in polys:
+        terms = sorted(((mono + (one,))[:2], c % modulus if modulus else c)
+                       for mono, c in poly.items())
+        eq = tuple((c, u, w) for (u, w), c in terms if c)
+        if eq:
+            equations.add(eq)
+    return tuple(sorted(equations))
+
+
+@lru_cache(maxsize=None)
+def _identity_equations(n: int, p: int, kind: str) -> tuple:
+    """The identity ``kind`` over GF(p) as ``_normalised`` equations in the
+    flat constants x_0 .. x_{n^3-1}: the coordinates of the kind's defect
+    generator run over an algebra whose constants are those variables."""
+    tensor = tuple(
+        tuple(tuple(_Poly({((i * n + j) * n + k,): 1}) for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    alg = Algebra(_Polynomials, default_labels(n), tensor)
+    return _normalised((poly for _, defect in _DEFECT_GENERATORS[kind](alg)
+                        for poly in defect), n ** 3, p)
+
+
+# The largest dimension whose GF(p) verdicts ``_holds`` takes from the
+# equations.  At dim 3 a failing table would pay for the evaluation on top
+# of the generator, which often stops at its first defect.
+_VERDICT_MAX_DIM = 2
+
+
+def _holds(alg: Algebra, kind: str):
+    """Whether ``alg`` satisfies ``kind``, by evaluating the kind's equations
+    on its constants, over a prime field at dims 1 and 2; None elsewhere."""
+    f, n = alg.field, alg.dim
+    if not isinstance(f, PrimeField) or n > _VERDICT_MAX_DIM or kind not in _DEFECT_GENERATORS:
+        return None
+    p = f.p
+    vals = tuple_from_algebra(alg) + (1,)
+    for eq in _identity_equations(n, p, kind):
+        s = 0
+        for c, u, w in eq:
+            s += c * vals[u] * vals[w]
+        if s % p:
+            return False
+    return True
 
 
 def sub_adjacent(alg: Algebra, halved: bool = False) -> Algebra:

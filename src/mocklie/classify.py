@@ -3,12 +3,14 @@
 Solutions are plain tuples of structure constants, flattened as in
 ``algebra.tuple_from_algebra``: for n = 2 the order is (a1, a2, b1, b2, c1,
 c2, d1, d2), matching e1e1 = a1 e1 + a2 e2, e1e2 = b1 e1 + b2 e2, e2e1 = ...,
-e2e2 = ....  The equations of each identity kind come from its defect
-generator in ``algebra``, the same code ``check_identity`` runs: run over
-an algebra whose constants are variables, it yields integer equations,
-linear or quadratic in the flat constants.  The equations of an
-isomorphism, in the entries of its matrix, come the same way from
-``algebra.product``.  One depth-first solver serves both: it fixes the
+e2e2 = ....  The equations of each identity kind are compiled once, in
+``algebra``, from its defect generator, the same code ``check_identity``
+runs: run over an algebra whose constants are variables, it yields integer
+equations, linear or quadratic in the flat constants.  ``check_identity``
+evaluates them for its GF(p) verdicts at dims 1 and 2, and the solver here
+splits them by highest variable.  The equations of an isomorphism, in the
+entries of its matrix, come the same way from ``algebra.product``, with
+the same normalisation.  One depth-first solver serves both: it fixes the
 variables one by one in index order and applies each equation as soon as
 its highest variable is fixed, solving it when it is linear in that
 variable over GF(p), so whole subtrees of the search space are cut at
@@ -29,13 +31,12 @@ compare byte-identical.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .algebra import (Algebra, IDENTITY_KINDS, _DEFECT_GENERATORS,
-                      default_labels, product, transport_constants)
+from .algebra import (Algebra, IDENTITY_KINDS, _Poly, _Polynomials, _identity_equations,
+                      _normalised, product, transport_constants)
 from .errors import FieldError, ShapeError
 from .fields import PrimeField, characteristic_warnings
 from .linalg import LinearMap, combination
@@ -72,70 +73,36 @@ class OrbitCensus:
 # polynomial equations and the depth-first solver
 # ---------------------------------------------------------------------------
 
-class _Poly(dict):
-    """A polynomial in indexed variables, as {monomial: coefficient}: a
-    monomial is a sorted tuple of variable indices; coefficients are
-    integers, or rationals for the equations of an isomorphism over QQ."""
-
-    def __add__(self, other):
-        out = _Poly(self)
-        for mono, c in other.items():
-            out[mono] = out.get(mono, 0) + c
-        return out
-
-    def __radd__(self, zero):  # 0 + self: each entry of ``combination`` starts at 0
-        return self
-
-    def __sub__(self, other):
-        return self + _Poly({mono: -c for mono, c in other.items()})
-
-    def __mul__(self, other):
-        out = _Poly()
-        for m1, c1 in self.items():
-            for m2, c2 in other.items():
-                mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return out
-
-
-class _Polynomials:
-    """``_Poly`` as a field: the part of the field interface that the defect
-    generators, ``product`` and ``combination`` use, so running them over
-    variables yields equations."""
-
-    zero = _Poly()
-    sub, mul = operator.sub, operator.mul
-
-    @staticmethod
-    def reduce(values) -> tuple:
-        return tuple(x or _Poly() for x in values)
+def _unknowns(size: int) -> int:
+    """``size``, or ``ShapeError`` when it exceeds the solver's 27 unknowns."""
+    if size > _MAX_UNKNOWNS:
+        raise ShapeError(f"{size} unknowns exceed the solver's limit of {_MAX_UNKNOWNS}")
+    return size
 
 
 def _compile(polys, size: int, modulus: int) -> tuple:
     """The equations ``poly == 0`` over x_0 .. x_{size-1}, filed and split.
 
-    Each polynomial is linear or quadratic.  Coefficients are reduced mod
-    ``modulus``, or kept exact when it is 0, and polynomials that vanish
-    identically are dropped.  Entry d of the result holds, for each equation
-    whose highest variable is x_d, a triple (a, linear, free) standing for
-    a * x_d^2 + b * x_d + k, where b = sum of c * x_u over the pairs (c, u)
-    in ``linear`` and k = sum of c * x_u * x_w over the terms (c, u, w) in
-    ``free``.  Index ``size`` stands for the constant 1, so b and k involve
-    only x_0 .. x_{d-1} and the constant.  More than 27 unknowns raise
-    ``ShapeError`` before ``polys`` is read.
+    ``polys`` are normalised by ``algebra._normalised`` and then split by
+    ``_split``.  More than 27 unknowns raise ``ShapeError`` before ``polys``
+    is read.
     """
-    if size > _MAX_UNKNOWNS:
-        raise ShapeError(f"{size} unknowns exceed the solver's limit of {_MAX_UNKNOWNS}")
+    return _split(_normalised(polys, _unknowns(size), modulus), size)
+
+
+def _split(equations, size: int) -> tuple:
+    """``_normalised`` equations over x_0 .. x_{size-1}, filed for ``_solve``.
+
+    Entry d of the result holds, for each equation whose highest variable is
+    x_d, a triple (a, linear, free) standing for a * x_d^2 + b * x_d + k,
+    where b = sum of c * x_u over the pairs (c, u) in ``linear`` and k = sum
+    of c * x_u * x_w over the terms (c, u, w) in ``free``.  Index ``size``
+    stands for the constant 1, so b and k involve only x_0 .. x_{d-1} and
+    the constant.
+    """
     one = size
-    equations = set()
-    for poly in polys:
-        terms = sorted(((mono + (one,))[:2], c % modulus if modulus else c)
-                       for mono, c in poly.items())
-        eq = tuple((c, u, w) for (u, w), c in terms if c)
-        if eq:
-            equations.add(eq)
     split = [[] for _ in range(size)]
-    for eq in sorted(equations):
+    for eq in equations:
         d = max(w if w != one else u for _, u, w in eq)
         a, linear, free = 0, [], []
         for c, u, w in eq:
@@ -211,18 +178,11 @@ def _solve(equations, domains, modulus: int, stats: dict, max_scan: int):
 
 @lru_cache(maxsize=None)
 def _equations(n: int, p: int, kind: str) -> tuple:
-    """The identity ``kind`` over GF(p), compiled for ``_solve``.
-
-    The equations are the coordinates of the kind's defect generator run
-    over an algebra whose constants are the variables x_0 .. x_{n^3-1}.
-    """
-    tensor = tuple(
-        tuple(tuple(_Poly({((i * n + j) * n + k,): 1}) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    alg = Algebra(_Polynomials, default_labels(n), tensor)
-    return _compile((poly for _, defect in _DEFECT_GENERATORS[kind](alg)
-                     for poly in defect), n ** 3, p)
+    """The identity ``kind`` over GF(p), compiled for ``_solve``: the
+    equations ``algebra._identity_equations``, which ``check_identity`` also
+    evaluates, split by ``_split``."""
+    size = _unknowns(n ** 3)
+    return _split(_identity_equations(n, p, kind), size)
 
 
 def enumerate_solutions(dim: int, field, kind: str,

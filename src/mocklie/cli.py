@@ -201,6 +201,9 @@ def cmd_double(args):
 
 
 def cmd_classify(args):
+    # 0 stays the solver's own refusal: every search tries at least one value
+    if args.max_scan < 0:
+        raise CliError(f"--max-scan must be non-negative, got {args.max_scan}")
     field = PrimeField(args.prime)
     census = classify(args.dim, field, IDENTITY_ALIASES.get(args.kind, args.kind),
                       max_scan=args.max_scan)

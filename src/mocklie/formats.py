@@ -10,7 +10,8 @@ lists ``{"i", "j", "coeffs"}`` rows for the nonzero basis products (0-based
 indices; omitted pairs multiply to zero).  ``dim``, ``i``, ``j``, ``p`` and
 ``module_dim`` must be JSON integers and ``basis``, ``products`` and
 ``coeffs`` lists and ``basis`` entries strings; anything else raises
-``FormatError``, and so does a ``dim`` or ``module_dim`` above ``MAX_DIM``.
+``FormatError``, and so do a ``module_dim`` below 1 and a ``dim`` or
+``module_dim`` above ``MAX_DIM``.
 Bimodule ``{"algebra", "module_dim", "l", "r"}`` and representation
 ``{"algebra", "module_dim", "rho"}`` containers share one reader.  This module
 imports the constructions it serializes; none of them imports it.
@@ -168,8 +169,8 @@ def _module_from_json(obj, keys, build):
     """``build(algebra, *map lists)`` of the container ``obj``, lists under ``keys``.
 
     The module dimension is ``module_dim`` or else the size of the first map
-    under ``keys[0]``.  Above ``MAX_DIM``, or on a ``MockLieError`` of
-    ``build``, ``FormatError``."""
+    under ``keys[0]``.  Below 1 or above ``MAX_DIM``, or on a ``MockLieError``
+    of ``build``, ``FormatError``."""
     if not isinstance(obj, dict):
         raise FormatError("module container must be a JSON object")
     lists = [_required(obj, key) for key in keys]
@@ -183,6 +184,8 @@ def _module_from_json(obj, keys, build):
         m = len(lists[0][0])
     else:
         raise FormatError(f"container needs 'module_dim' or a nonempty {keys[0]!r}")
+    if m < 1:
+        raise FormatError(f"module_dim {m}: the module must have positive dimension")
     if m > MAX_DIM:
         raise FormatError(f"module_dim {m} is above the limit of {MAX_DIM}")
     families = [[matrix_from_json(alg.field, rows, m) for rows in maps] for maps in lists]

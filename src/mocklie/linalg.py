@@ -46,7 +46,7 @@ def combination(field: Field, size: int, terms) -> Vector:
     Each vector has ``size`` entries; zero coefficients and entries are
     skipped.  Entries sum from the int 0 with native ``+`` and ``*``, and
     ``field.reduce`` makes each a scalar once (``% p`` over GF(p)), so
-    ``classify._Polynomials``, with ``+`` and ``*``, works as a field too.
+    ``algebra._Polynomials``, with ``+`` and ``*``, works as a field too.
     """
     out = [0] * size
     for coeffs, vectors in terms:

@@ -21,8 +21,11 @@ strictly weaker, and the divergence is observable.
 
 Checks fold the underlying algebra's own identity into the verdict (witness
 tag ``"algebra"``) so that the semidirect-sum equivalences hold verbatim
-for arbitrary candidate maps.  ``PreJJBimodule.regular`` and ``JJRep.adjoint``
-transpose the table slices L_{e_i}^T and R_{e_i}^T; nothing is multiplied.
+for arbitrary candidate maps.  Over a prime field at algebra dims 1 and 2,
+an algebra that passes is decided from its compiled equations, without
+running the identity's generator (see ``algebra``).
+``PreJJBimodule.regular`` and ``JJRep.adjoint`` transpose the table slices
+L_{e_i}^T and R_{e_i}^T; nothing is multiplied.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from conftest import (
     seeded,
 )
 from mocklie.algebra import (
+    _DEFECT_GENERATORS,
     Algebra,
     IDENTITY_KINDS,
     Witness,
@@ -24,12 +25,14 @@ from mocklie.algebra import (
     opposite,
     passes_identity,
     product,
+    report_from_defects,
     right_mult,
     structure_equal,
     sub_adjacent,
     tuple_from_algebra,
 )
 from mocklie.catalog import class_algebra
+from mocklie.classify import enumerate_solutions
 from mocklie.errors import FieldError, MixedFieldError, ShapeError
 from mocklie.fields import QQ, prime_field
 from mocklie.linalg import LinearMap
@@ -463,6 +466,52 @@ def test_operator_identities_on_pre_jj_algebras(f5_prejj_algebras):
                     .sub(ad(alg, bracket))
                     .is_zero()
                 )
+
+
+# ---------------------------------------------------------------------------
+# GF(p) verdicts from the compiled equations, the generators as the oracle
+# ---------------------------------------------------------------------------
+
+def assert_verdicts_match_generators(algebras):
+    """``check_identity`` at caps 1 and 16 and ``passes_identity`` equal what
+    the defect generator alone gives, for every kind; returns the number of
+    (table, kind) pairs that pass and that fail."""
+    passed = failed = 0
+    for alg in algebras:
+        for kind in IDENTITY_KINDS:
+            for cap in (1, 16):
+                oracle = report_from_defects(kind, alg.field, _DEFECT_GENERATORS[kind](alg), cap)
+                assert check_identity(alg, kind, cap) == oracle, (tuple_from_algebra(alg), kind)
+            assert passes_identity(alg, kind) is oracle.passed
+            passed += oracle.passed
+            failed += not oracle.passed
+    return passed, failed
+
+
+def test_verdicts_on_every_dim2_gf2_table():
+    algebras = [algebra_from_tuple(GF2, 2, c) for c in itertools.product(range(2), repeat=8)]
+    passed, failed = assert_verdicts_match_generators(algebras)
+    assert passed and failed
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_verdicts_on_every_dim1_table(p):
+    field = prime_field(p)
+    passed, failed = assert_verdicts_match_generators(
+        [algebra_from_tuple(field, 1, (x,)) for x in range(p)])
+    assert passed and failed
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_verdicts_on_sampled_and_census_dim2_tables(p):
+    # random tables fail nearly every kind, so every census solution of
+    # every kind is added: each passes its own kind
+    field, rng = prime_field(p), seeded(290 + p)
+    tables = {tuple(rng.randrange(p) for _ in range(8)) for _ in range(40)}
+    tables |= {c for kind in IDENTITY_KINDS for c in enumerate_solutions(2, field, kind)}
+    passed, failed = assert_verdicts_match_generators(
+        [algebra_from_tuple(field, 2, c) for c in sorted(tables)])
+    assert passed and failed
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,18 @@ def test_classify_prime_past_max_scan_is_refused(tmp_path, capsys, dim):
     assert not out.exists()
 
 
+def test_classify_negative_max_scan_is_refused(tmp_path, capsys):
+    # refused by name before the search; 0 stays the solver's own refusal
+    out = tmp_path / "c.json"
+    base = ["classify", "--dim", "1", "--prime", "2", "--out", str(out)]
+    assert main([*base, "--max-scan", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --max-scan must be non-negative, got -5\n"
+    assert main([*base, "--max-scan", "0"]) == 2
+    assert_one_error_line(capsys, "more than 0 assignments")
+    assert not out.exists()
+
+
 def test_classify_prime_too_large_to_count_is_refused(tmp_path, capsys):
     # within --max-scan, but the 10^24 + 7 values of a constant are past
     # what len() counts
@@ -537,6 +549,18 @@ def zero_module_container(jj, m):
     if jj:
         return rep_to_json(JJRep.zero(alg, m))
     return bimodule_to_json(PreJJBimodule.zero(alg, m))
+
+
+@pytest.mark.parametrize("jj", [True, False], ids=["rep", "bimodule"])
+def test_semidirect_container_with_negative_module_dim(tmp_path, capsys, jj):
+    # refused under its own name before any matrix is read against it
+    doc = zero_module_container(jj, 1)
+    doc["module_dim"] = -1
+    path = tmp_path / "negative.json"
+    path.write_text(dumps(doc))
+    assert main(["semidirect", str(path), *(["--jj"] if jj else [])]) == 2
+    assert_one_error_line(capsys, str(path), "module_dim -1",
+                          "module must have positive dimension")
 
 
 @pytest.mark.parametrize("given", [True, False], ids=["given", "inferred"])

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import (
@@ -7,6 +9,7 @@ from conftest import (
     rand_table_algebra,
     random_candidate_bimodule,
     random_valid_bimodule,
+    random_valid_rep,
     seeded,
 )
 from mocklie import algebra as algebra_module
@@ -14,7 +17,9 @@ from mocklie.algebra import (
     _DEFECT_GENERATORS,
     Algebra,
     Witness,
+    _Polynomials,
     ad,
+    check_identity,
     direct_sum,
     left_mult,
     passes_identity,
@@ -30,6 +35,9 @@ from mocklie.linalg import LinearMap
 from mocklie.reps import (
     JJRep,
     PreJJBimodule,
+    _bimodule_condition_defects,
+    _bimodule_displayed_defects,
+    _rep_condition_defects,
     check_jj_rep,
     check_prejj_bimodule,
     check_prejj_bimodule_displayed,
@@ -490,3 +498,95 @@ def test_bimodule_shape_validation(classes_qq):
     bad = (LinearMap.zeros(QQ, 3, 3), LinearMap.zeros(QQ, 3, 3))
     with pytest.raises(ShapeError):
         PreJJBimodule(alg, ok, bad)
+
+
+# ---------------------------------------------------------------------------
+# the algebra's own identity: compiled GF(p) verdicts, generators as oracle
+# ---------------------------------------------------------------------------
+
+def _folded(alg, kind):
+    # the algebra part of a checker, straight from the kind's generator
+    for indices, defect in _DEFECT_GENERATORS[kind](alg):
+        yield indices, defect, "algebra"
+
+
+def test_checker_reports_match_generator_folded_reports(f5_prejj_algebras, classes_f5):
+    # the 25 left pre-JJ algebras pass their identity and e2e1=e2 fails
+    # both, so "algebra" witnesses are covered too; random maps fail and
+    # the valid ones pass
+    rng = seeded(29)
+    tags = set()
+    for alg in (*f5_prejj_algebras, classes_f5["e2e1=e2"]):
+        sub = sub_adjacent(alg)
+        bimodules = (random_candidate_bimodule(rng, alg), random_valid_bimodule(rng, alg))
+        reps = (JJRep(sub, tuple(rand_matrix(rng, GF5, 2) for _ in range(2))),
+                random_valid_rep(rng, sub) if alg is not classes_f5["e2e1=e2"]
+                else JJRep(alg, tuple(rand_matrix(rng, GF5, 2) for _ in range(2))))
+        for cap in (1, 16):
+            for bm in bimodules:
+                report = check_prejj_bimodule(bm, cap)
+                assert report == report_from_defects("prejj_bimodule", GF5, itertools.chain(
+                    _folded(alg, "left_pre_jj"), _bimodule_condition_defects(bm)), cap)
+                assert check_prejj_bimodule_displayed(bm, cap) == report_from_defects(
+                    "prejj_bimodule_displayed", GF5, itertools.chain(
+                        _folded(alg, "left_pre_jj"), _bimodule_displayed_defects(bm)), cap)
+                tags |= {w.tag for w in report.witnesses} | {report.passed}
+            for rep in reps:
+                report = check_jj_rep(rep, cap)
+                assert report == report_from_defects("jj_representation", GF5, itertools.chain(
+                    _folded(rep.algebra, "jj"), _rep_condition_defects(rep)), cap)
+                tags |= {w.tag for w in report.witnesses} | {report.passed}
+    assert {True, False, "algebra", "left", "mixed", "representation"} <= tags
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    """The kinds whose defect generator runs on a concrete algebra, in order."""
+    calls = []
+    for kind, generator in _DEFECT_GENERATORS.items():
+        def spy(alg, kind=kind, generator=generator):
+            if alg.field is not _Polynomials:  # not the compile of the equations
+                calls.append(kind)
+            return generator(alg)
+        monkeypatch.setitem(_DEFECT_GENERATORS, kind, spy)
+    return calls
+
+
+def test_passing_dim2_prime_field_checks_run_no_generator(generator_calls,
+                                                          f5_prejj_algebras):
+    alg = f5_prejj_algebras[-1]
+    assert alg.c != Algebra.zero(GF5, 2).c
+    assert check_identity(alg, "left_pre_jj").passed
+    assert passes_identity(alg, "operad")
+    assert check_prejj_bimodule(PreJJBimodule.regular(alg)).passed
+    assert check_jj_rep(JJRep.adjoint(sub_adjacent(alg))).passed
+    assert generator_calls == []
+
+
+def test_failing_qq_and_dim4_checks_run_their_generator(generator_calls, classes_f5,
+                                                         classes_qq):
+    # the witnesses are the ones the generators gave before the compiled
+    # verdict; passing QQ and dim-4 tables run their generator as well
+    third_f5, third_qq = classes_f5["e2e1=e2"], classes_qq["e2e1=e2"]
+    idempotent4 = Algebra.from_products(GF5, 4, {(0, 0): (1, 0, 0, 0)})
+    cases = [
+        (lambda: check_identity(third_f5, "antiassociative", 2),
+         ["antiassociative"], [Witness((1, 0, 0), (0, 1))]),
+        (lambda: check_prejj_bimodule(PreJJBimodule.zero(third_f5, 1), 2),
+         ["left_pre_jj"], [Witness((0, 1, 0), (0, 1), "algebra")]),
+        (lambda: check_jj_rep(JJRep.zero(third_f5, 1), 2),
+         ["jj"], [Witness((0, 1), (0, 4), "algebra"), Witness((0, 0, 1), (0, 1), "algebra")]),
+        (lambda: check_identity(third_qq, "left_pre_jj", 2),
+         ["left_pre_jj"], [Witness((0, 1, 0), (0, 1))]),
+        (lambda: check_identity(idempotent4, "jj", 2),
+         ["jj"], [Witness((0, 0, 0), (3, 0, 0, 0))]),
+        (lambda: check_identity(classes_qq["e1e1=e2"], "jj"), ["jj"], []),
+        (lambda: check_jj_rep(JJRep.zero(Algebra.zero(GF5, 4), 1)), ["jj"], []),
+    ]
+    for run, kinds, witnesses in cases:
+        generator_calls.clear()
+        assert list(run().witnesses) == witnesses
+        assert generator_calls == kinds
+    generator_calls.clear()
+    assert passes_identity(third_f5, "jj") is False
+    assert generator_calls == ["jj"]
