@@ -9,9 +9,9 @@ generator.  Run over variables, the generator gives the identity's
 equations in the flat constants, compiled once per (n, p, kind) at first
 use; the census solver in ``classify`` splits them.  Over a prime field at
 dims 1 and 2 the verdict comes from evaluating those equations on the
-constants, and a table that passes runs no generator; the witnesses of a
-failing table, and every verdict over QQ or at larger dims, come from the
-generators.
+constants: a table that passes runs no generator, nor does
+``passes_identity`` on one that fails; the witnesses of a failing table,
+and every verdict over QQ or at larger dims, come from the generators.
 Each defect is one ``linalg.combination`` of the rows ``c[i]`` (the products
 e_i e_m) and the columns e_m e_k, taken once per generator call; ``product``
 and ``left_mult`` go through the same kernel.  As matrices, the rows and
@@ -299,7 +299,10 @@ def check_identity(alg: Algebra, kind: str,
 
 def passes_identity(alg: Algebra, kind: str) -> bool:
     """Early-exit verdict of ``check_identity`` (no witness collection)."""
-    return not any(any(defect) for _, defect in _defects(alg, kind))
+    verdict = _holds(alg, kind)
+    if verdict is None:
+        return not any(any(defect) for _, defect in _generated_defects(alg, kind))
+    return verdict
 
 
 def _defects(alg: Algebra, kind: str):
@@ -307,6 +310,10 @@ def _defects(alg: Algebra, kind: str):
     identity holds, else the kind's generator, the only source of witnesses."""
     if _holds(alg, kind):
         return ()
+    return _generated_defects(alg, kind)
+
+
+def _generated_defects(alg: Algebra, kind: str):
     try:
         return _DEFECT_GENERATORS[kind](alg)  # a generator: no body runs here
     except KeyError:

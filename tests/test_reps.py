@@ -552,14 +552,18 @@ def generator_calls(monkeypatch):
     return calls
 
 
-def test_passing_dim2_prime_field_checks_run_no_generator(generator_calls,
-                                                          f5_prejj_algebras):
+def test_dim2_prime_field_verdicts_run_no_generator(generator_calls, f5_prejj_algebras,
+                                                    classes_f5):
+    # passing checks need no witness, and passes_identity never does
     alg = f5_prejj_algebras[-1]
     assert alg.c != Algebra.zero(GF5, 2).c
     assert check_identity(alg, "left_pre_jj").passed
     assert passes_identity(alg, "operad")
     assert check_prejj_bimodule(PreJJBimodule.regular(alg)).passed
     assert check_jj_rep(JJRep.adjoint(sub_adjacent(alg))).passed
+    for kind in ("antiassociative", "left_pre_jj", "jj"):
+        assert passes_identity(classes_f5["e2e1=e2"], kind) is False
+    assert passes_identity(Algebra.from_products(GF5, 1, {(0, 0): (1,)}), "jj") is False
     assert generator_calls == []
 
 
@@ -587,6 +591,7 @@ def test_failing_qq_and_dim4_checks_run_their_generator(generator_calls, classes
         generator_calls.clear()
         assert list(run().witnesses) == witnesses
         assert generator_calls == kinds
-    generator_calls.clear()
-    assert passes_identity(third_f5, "jj") is False
-    assert generator_calls == ["jj"]
+    for alg in (third_qq, idempotent4):
+        generator_calls.clear()
+        assert passes_identity(alg, "jj") is False
+        assert generator_calls == ["jj"]
