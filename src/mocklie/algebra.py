@@ -6,10 +6,12 @@ of ``e_i * e_j``, so ``e_i * e_j = sum_k c[i][j][k] e_k``.  All identity
 checks run on basis tuples only; bilinearity makes that sufficient and keeps
 every check exact and O(n^3).  Each identity is defined once, by its defect
 generator.  Run over variables, the generator gives the identity's
-equations in the flat constants, compiled once per (n, p, kind) at first
-use; the census solver in ``classify`` splits them.  Over a prime field at
-dims 1 and 2 the verdict comes from evaluating those equations on the
-constants: a table that passes runs no generator, nor does
+equations in the flat constants.  ``_compile`` compiles them once per
+(n, p, kind), at first use, into the one cached form that both the verdict
+here and ``classify._solve`` read: each equation filed under its highest
+variable.  ``iso``'s equations go through the same ``_compile``.  Over a
+prime field at dims 1 and 2 the verdict comes from evaluating those
+equations on the constants: a table that passes runs no generator, nor does
 ``passes_identity`` on one that fails; the witnesses of a failing table,
 and every verdict over QQ or at larger dims, come from the generators.
 Each defect is one ``linalg.combination`` of the rows ``c[i]`` (the products
@@ -349,50 +351,72 @@ class _Poly(dict):
 
 
 class _Polynomials:
-    """``_Poly`` as a field: the part of the field interface that the defect
-    generators, ``product`` and ``combination`` use, so running them over
-    variables yields equations."""
+    """``_Poly`` as a field: the part of the field interface that
+    ``algebra_from_tuple``, the defect generators, ``product`` and
+    ``combination`` use, so running them over variables yields equations."""
 
     zero = _Poly()
-    sub, mul = operator.sub, operator.mul
+    of, sub, mul = _Poly, operator.sub, operator.mul
 
     @staticmethod
     def reduce(values) -> tuple:
         return tuple(x or _Poly() for x in values)
 
 
-def _normalised(polys, size: int, modulus: int) -> tuple:
-    """The equations ``poly == 0`` over x_0 .. x_{size-1}, sorted.
+_MAX_UNKNOWNS = 27  # a dim-3 census, or a dim-5 basis change
+
+
+def _compile(polys, size: int, modulus: int) -> tuple:
+    """The equations ``poly == 0`` over x_0 .. x_{size-1}, filed for ``_holds``
+    and ``classify._solve``.
 
     Each polynomial is linear or quadratic.  Coefficients are reduced mod
-    ``modulus``, or kept exact when it is 0.  An equation is the tuple of
-    its non-zero terms (c, u, w), standing for c * x_u * x_w and sorted by
-    (u, w), where index ``size`` stands for the constant 1.  Polynomials
-    that vanish identically are dropped, and equal equations kept once.
+    ``modulus``, or kept exact when it is 0, and polynomials that vanish are
+    dropped.  Entry d of the result holds, sorted and each once, a triple
+    (a, linear, free) for each equation whose highest variable is x_d,
+    standing for a * x_d^2 + b * x_d + k, where b = sum of c * x_u over the
+    pairs (c, u) in ``linear`` and k = sum of c * x_u * x_w over the terms
+    (c, u, w) in ``free``.  Index ``size`` stands for the constant 1, so b
+    and k involve only x_0 .. x_{d-1} and the constant.  More than 27
+    unknowns raise ``ShapeError`` before ``polys`` is read.
     """
+    if size > _MAX_UNKNOWNS:
+        raise ShapeError(f"{size} unknowns exceed the solver's limit of {_MAX_UNKNOWNS}")
     one = size
-    equations = set()
+    filed = [set() for _ in range(size)]
     for poly in polys:
-        terms = sorted(((mono + (one,))[:2], c % modulus if modulus else c)
+        # a term c * x_u * x_w, u <= w, as (u, w, c)
+        terms = sorted((*(mono + (one,))[:2], c % modulus if modulus else c)
                        for mono, c in poly.items())
-        eq = tuple((c, u, w) for (u, w), c in terms if c)
-        if eq:
-            equations.add(eq)
-    return tuple(sorted(equations))
+        terms = [term for term in terms if term[2]]
+        if not terms:
+            continue
+        d = max(w if w != one else u for u, w, _ in terms)
+        a, linear, free = 0, [], []
+        for u, w, c in terms:
+            if u == w == d:
+                a = c
+            elif w == d:
+                linear.append((c, u))
+            elif u == d:
+                linear.append((c, w))
+            else:
+                free.append((c, u, w))
+        filed[d].add((a, tuple(linear), tuple(free)))
+    return tuple(tuple(sorted(eqs)) for eqs in filed)
 
 
 @lru_cache(maxsize=None)
 def _identity_equations(n: int, p: int, kind: str) -> tuple:
-    """The identity ``kind`` over GF(p) as ``_normalised`` equations in the
-    flat constants x_0 .. x_{n^3-1}: the coordinates of the kind's defect
+    """The identity ``kind`` over GF(p), compiled by ``_compile`` in the flat
+    constants x_0 .. x_{n^3-1}: the coordinates of the kind's defect
     generator run over an algebra whose constants are those variables."""
-    tensor = tuple(
-        tuple(tuple(_Poly({((i * n + j) * n + k,): 1}) for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    alg = Algebra(_Polynomials, default_labels(n), tensor)
-    return _normalised((poly for _, defect in _DEFECT_GENERATORS[kind](alg)
-                        for poly in defect), n ** 3, p)
+    def polys():  # lazy, so a dim past the unknowns cap builds no variables
+        alg = algebra_from_tuple(_Polynomials, n, (_Poly({(t,): 1}) for t in range(n ** 3)))
+        for _, defect in _DEFECT_GENERATORS[kind](alg):
+            yield from defect
+
+    return _compile(polys(), n ** 3, p)
 
 
 # The largest dimension whose GF(p) verdicts ``_holds`` takes from the
@@ -409,12 +433,17 @@ def _holds(alg: Algebra, kind: str):
         return None
     p = f.p
     vals = tuple_from_algebra(alg) + (1,)
-    for eq in _identity_equations(n, p, kind):
-        s = 0
-        for c, u, w in eq:
-            s += c * vals[u] * vals[w]
-        if s % p:
-            return False
+    for v, filed in zip(vals, _identity_equations(n, p, kind)):
+        for a, linear, free in filed:
+            s = 0
+            for c, u, w in free:
+                s += c * vals[u] * vals[w]
+            if v:
+                s += a * v * v
+                for c, u in linear:
+                    s += c * vals[u] * v
+            if s % p:
+                return False
     return True
 
 

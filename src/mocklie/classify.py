@@ -3,18 +3,19 @@
 Solutions are plain tuples of structure constants, flattened as in
 ``algebra.tuple_from_algebra``: for n = 2 the order is (a1, a2, b1, b2, c1,
 c2, d1, d2), matching e1e1 = a1 e1 + a2 e2, e1e2 = b1 e1 + b2 e2, e2e1 = ...,
-e2e2 = ....  The equations of each identity kind are compiled once, in
-``algebra``, from its defect generator, the same code ``check_identity``
-runs: run over an algebra whose constants are variables, it yields integer
-equations, linear or quadratic in the flat constants.  ``check_identity``
-evaluates them for its GF(p) verdicts at dims 1 and 2, and the solver here
-splits them by highest variable.  The equations of an isomorphism, in the
-entries of its matrix, come the same way from ``algebra.product``, with
-the same normalisation.  One depth-first solver serves both: it fixes the
-variables one by one in index order and applies each equation as soon as
-its highest variable is fixed, solving it when it is linear in that
-variable over GF(p), so whole subtrees of the search space are cut at
-once.  Its one guard is ``max_scan``, on the assignments it tries.
+e2e2 = ....  The equations of each identity kind are compiled once, by
+``algebra._compile``, from its defect generator, the same code
+``check_identity`` runs: run over an algebra whose constants are variables,
+it yields integer equations, linear or quadratic in the flat constants,
+filed by highest variable.  ``check_identity`` evaluates that one cached
+form for its GF(p) verdicts at dims 1 and 2, and the solver here reads it
+as it is.  The equations of an isomorphism, in the entries of its matrix,
+come the same way from ``algebra.product`` and the same ``_compile``.  One
+depth-first solver serves both: it fixes the variables one by one in index
+order and applies each equation as soon as its highest variable is fixed,
+solving it when it is linear in that variable over GF(p), so whole
+subtrees of the search space are cut at once.  Its one guard is
+``max_scan``, on the assignments it tries.
 
 Orbits are computed without listing GL_n(F_p): each unassigned solution is
 expanded under a generating set of the group (the transvections I + E_ij
@@ -35,15 +36,14 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .algebra import (Algebra, IDENTITY_KINDS, _Poly, _Polynomials, _identity_equations,
-                      _normalised, product, transport_constants)
+from .algebra import (Algebra, IDENTITY_KINDS, _Poly, _Polynomials, _compile,
+                      _identity_equations, product, transport_constants)
 from .errors import FieldError, ShapeError
 from .fields import PrimeField, characteristic_warnings
 from .linalg import LinearMap, combination
 
 DEFAULT_MAX_SCAN = 10_000_000
 _SEARCH_LIMIT = "search tried more than {} assignments; raise max_scan to force it"
-_MAX_UNKNOWNS = 27  # a dim-3 census, or a dim-5 basis change
 
 
 @dataclass(frozen=True)
@@ -70,62 +70,17 @@ class OrbitCensus:
 
 
 # ---------------------------------------------------------------------------
-# polynomial equations and the depth-first solver
+# the depth-first solver
 # ---------------------------------------------------------------------------
-
-def _unknowns(size: int) -> int:
-    """``size``, or ``ShapeError`` when it exceeds the solver's 27 unknowns."""
-    if size > _MAX_UNKNOWNS:
-        raise ShapeError(f"{size} unknowns exceed the solver's limit of {_MAX_UNKNOWNS}")
-    return size
-
-
-def _compile(polys, size: int, modulus: int) -> tuple:
-    """The equations ``poly == 0`` over x_0 .. x_{size-1}, filed and split.
-
-    ``polys`` are normalised by ``algebra._normalised`` and then split by
-    ``_split``.  More than 27 unknowns raise ``ShapeError`` before ``polys``
-    is read.
-    """
-    return _split(_normalised(polys, _unknowns(size), modulus), size)
-
-
-def _split(equations, size: int) -> tuple:
-    """``_normalised`` equations over x_0 .. x_{size-1}, filed for ``_solve``.
-
-    Entry d of the result holds, for each equation whose highest variable is
-    x_d, a triple (a, linear, free) standing for a * x_d^2 + b * x_d + k,
-    where b = sum of c * x_u over the pairs (c, u) in ``linear`` and k = sum
-    of c * x_u * x_w over the terms (c, u, w) in ``free``.  Index ``size``
-    stands for the constant 1, so b and k involve only x_0 .. x_{d-1} and
-    the constant.
-    """
-    one = size
-    split = [[] for _ in range(size)]
-    for eq in equations:
-        d = max(w if w != one else u for _, u, w in eq)
-        a, linear, free = 0, [], []
-        for c, u, w in eq:
-            if u == w == d:
-                a = c
-            elif w == d:
-                linear.append((c, u))
-            elif u == d:
-                linear.append((c, w))
-            else:
-                free.append((c, u, w))
-        split[d].append((a, tuple(linear), tuple(free)))
-    return tuple(map(tuple, split))
-
 
 def _solve(equations, domains, modulus: int, stats: dict, max_scan: int):
     """Lazily, every assignment of x_d from ``domains[d]`` solving ``equations``.
 
-    ``equations`` is as ``_compile`` returns it.  The variables are fixed
-    depth-first in index order, each domain's values in their given order,
-    so ascending domains yield the solutions in lexicographic order.  On
-    entering depth d each equation filed under x_d is evaluated once on the
-    fixed prefix, leaving a * v^2 + b * v + k.  With a modulus and a = 0 it
+    ``equations`` is as ``algebra._compile`` returns it.  The variables are
+    fixed depth-first in index order, each domain's values in their given
+    order, so ascending domains yield the solutions in lexicographic order.
+    On entering depth d each equation filed under x_d is evaluated once on
+    the fixed prefix, leaving a * v^2 + b * v + k.  With a modulus and a = 0 it
     is solved (the root -k / b, all values or none); otherwise each value v
     is tested, by ``% modulus == 0``, or by ``== 0`` when the modulus is 0.
     The values that pass one equation go on to the next.  ``stats["visited"]``
@@ -176,15 +131,6 @@ def _solve(equations, domains, modulus: int, stats: dict, max_scan: int):
     return descend(0)
 
 
-@lru_cache(maxsize=None)
-def _equations(n: int, p: int, kind: str) -> tuple:
-    """The identity ``kind`` over GF(p), compiled for ``_solve``: the
-    equations ``algebra._identity_equations``, which ``check_identity`` also
-    evaluates, split by ``_split``."""
-    size = _unknowns(n ** 3)
-    return _split(_identity_equations(n, p, kind), size)
-
-
 def enumerate_solutions(dim: int, field, kind: str,
                         max_scan: int = DEFAULT_MAX_SCAN,
                         stats: dict | None = None) -> list[tuple]:
@@ -201,7 +147,7 @@ def enumerate_solutions(dim: int, field, kind: str,
     if not isinstance(field, PrimeField):
         raise FieldError(f"enumeration needs a prime field, got {field!r}")
     p = field.p
-    return list(_solve(_equations(dim, p, kind), [range(p)] * dim ** 3, p,
+    return list(_solve(_identity_equations(dim, p, kind), [range(p)] * dim ** 3, p,
                        {} if stats is None else stats, max_scan))
 
 

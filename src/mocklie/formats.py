@@ -31,11 +31,13 @@ from .reps import JJRep, PreJJBimodule
 
 SCHEMA_VERSION = 1
 
-# The identity checks cost about dim**4 field operations: ``check --identity
-# jj`` on the zero algebra takes about 1 s at dim 32 and 5 s at dim 48, and
-# ``double`` on two dense dim-32 QQ tables about 4 s (one core, CPython 3.11),
-# so larger documents are refused.  A module check costs dim**2 * module_dim**3,
-# so ``module_dim`` has the same cap.
+# The identity checks cost about dim**5 field operations on a dense table
+# that passes (zero constants are skipped, so the dim-32 zero algebra takes
+# 0.2 s): on a dim-32 JJ table taken to a dense basis over GF(101), ``check``
+# takes 8-12 s for ``jj`` and about 5 s for ``left-prejj`` and ``antiassoc``,
+# and ``double`` on two dense dim-32 QQ tables about 1 s (2-core x86-64 box,
+# CPython 3.11), so larger documents are refused.  A module check costs
+# dim**2 * module_dim**3, so ``module_dim`` has the same cap.
 MAX_DIM = 32
 
 

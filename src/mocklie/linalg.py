@@ -59,6 +59,9 @@ def combination(field: Field, size: int, terms) -> Vector:
 
 
 def basis_vector(field: Field, n: int, i: int) -> Vector:
+    """e_i in ``field``^n; ``ShapeError`` unless 0 <= i < n."""
+    if not 0 <= i < n:
+        raise ShapeError(f"basis index {i} out of range for dim {n}")
     return tuple(field.one if k == i else field.zero for k in range(n))
 
 

@@ -6,13 +6,12 @@ import pytest
 
 from conftest import (GF2, GF3, GF5, brute_force_antiassociative, gl_matrices,
                       rand_invertible, seeded)
-from mocklie.algebra import (IDENTITY_KINDS, _DEFECT_GENERATORS, Algebra,
-                             algebra_from_tuple, apply_basis_change, check_identity,
-                             passes_identity, structure_equal, tuple_from_algebra)
+from mocklie.algebra import (IDENTITY_KINDS, _DEFECT_GENERATORS, Algebra, _compile,
+                             _identity_equations, algebra_from_tuple, apply_basis_change,
+                             check_identity, passes_identity, structure_equal,
+                             tuple_from_algebra)
 from mocklie.catalog import class_algebras
 from mocklie.classify import (
-    _compile,
-    _equations,
     _gl_generators,
     _image_columns,
     _primitive_root,
@@ -95,11 +94,31 @@ def test_prime_field_candidates_match_defect_generators(classes_f5):
     names = ("zero", "e1e1=e2", "e2e1=e2", "e2e2=e1")
     cands = [tuple_from_algebra(classes_f5[name]) for name in names]
     for kind in IDENTITY_KINDS:
-        verified = [c for c in cands if not any(evaluate(_equations(2, 5, kind), c, 5))]
+        verified = [c for c in cands
+                    if not any(evaluate(_identity_equations(2, 5, kind), c, 5))]
         assert verified == [c for c in cands if passes_identity(
             algebra_from_tuple(GF5, 2, c), kind)]
         # e2e1=e2 fails every kind (see acceptance criteria 1 and 2)
         assert verified == [ZERO8, SQUARE_TUPLE, CUBE_TUPLE]
+
+
+def test_one_compile_per_size_field_and_kind(monkeypatch):
+    # the GF(p) verdict, the census and its solver read one cached compile
+    algebra = importlib.import_module("mocklie.algebra")
+    compile_, calls = algebra._compile, []
+
+    def spy(polys, size, modulus):
+        calls.append((size, modulus))
+        return compile_(polys, size, modulus)
+
+    monkeypatch.setattr(algebra, "_compile", spy)
+    _identity_equations.cache_clear()
+    for kind in IDENTITY_KINDS:
+        del calls[:]
+        check_identity(algebra_from_tuple(GF5, 2, SQUARE_TUPLE), kind)
+        enumerate_solutions(2, GF5, kind)
+        classify(2, GF5, kind)
+        assert calls == [(8, 5)], kind
 
 
 def test_zero_tuple_is_always_a_solution():
@@ -524,7 +543,7 @@ def term_form(d, a, linear, free):
 def test_equations_match_expanded_identity_strings(n, p):
     for kind in IDENTITY_KINDS:
         compiled = [{_monic(term_form(d, *eq), p) for eq in eqs}
-                    for d, eqs in enumerate(_equations(n, p, kind))]
+                    for d, eqs in enumerate(_identity_equations(n, p, kind))]
         assert compiled == expand_identity(n, p, kind), kind
 
 
@@ -626,7 +645,7 @@ def test_split_equations_evaluate_like_the_equations(n, p):
     one = n ** 3
     field = prime_field(p)
     for kind in IDENTITY_KINDS:
-        equations = _equations(n, p, kind)
+        equations = _identity_equations(n, p, kind)
         for d, eqs in enumerate(equations):
             for a, linear, free in eqs:
                 assert all(u < d or u == one for _, u in linear)

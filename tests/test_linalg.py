@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GF2, GF5, rand_invertible, rand_matrix, seeded
+from mocklie.algebra import Algebra
 from mocklie.errors import ShapeError
 from mocklie.fields import QQ, prime_field
-from mocklie.linalg import LinearMap, combination
+from mocklie.linalg import LinearMap, basis_vector, combination
 
 
 def test_apply_and_mul_agree():
@@ -22,6 +23,14 @@ def test_identity_and_zeros():
     assert identity.mul(identity) == identity
     assert identity.add(z) == identity
     assert z.is_zero()
+
+
+def test_basis_vector_refuses_an_index_outside_the_dimension():
+    assert basis_vector(GF5, 3, 2) == (0, 0, 1)
+    assert Algebra.zero(QQ, 2).basis(1) == (0, 1)
+    for i in (5, 2, -1):
+        with pytest.raises(ShapeError, match=f"basis index {i} out of range for dim 2"):
+            Algebra.zero(QQ, 2).basis(i)
 
 
 def test_transpose_involution():
