@@ -23,8 +23,8 @@ An integral QQ constant is a plain ``int`` (see ``fields``), so on an
 integral tensor the generators run on ints and yield int defects.
 
 ``transport_constants`` is the one basis-change loop, on the n^3-tuples of
-``tuple_from_algebra``; ``apply_basis_change`` and the census orbits in
-``classify`` both run it.
+``tuple_from_algebra``, and inverts P itself; ``apply_basis_change`` and the
+census orbits in ``classify`` both run it.
 
 Identity kinds
 --------------
@@ -525,19 +525,23 @@ def tuple_from_algebra(alg: Algebra) -> tuple:
     return tuple(x for row in alg.c for vec in row for x in vec)
 
 
-def transport_constants(c: tuple, flat_p: tuple, flat_p_inv: tuple, n: int,
-                        field: Field) -> tuple:
+def transport_constants(c: tuple, flat_p: tuple, n: int, field: Field) -> tuple:
     """Flat structure constants ``c`` rewritten in the basis f_i = P e_i.
 
-    ``c`` holds n^3 constants in (i, j, k) lex order and ``flat_p``,
-    ``flat_p_inv`` hold P and P^-1, row-major; entry (i, j) of the result is
-    P^-1 (f_i f_j).  As in ``linalg.combination``, sums run natively, with
-    zero entries of P, zero constants and zero partial sums skipped, and
+    ``c`` holds n^3 constants in (i, j, k) lex order and ``flat_p`` the n^2
+    entries of P, row-major; entry (i, j) of the result is P^-1 (f_i f_j),
+    with P^-1 computed here.  As in ``linalg.combination``, sums run natively,
+    with zero entries of P, zero constants and zero partial sums skipped, and
     ``field.reduce`` makes scalars of each f_i f_j and of the result.
+    ``ShapeError`` when either length is wrong or P is singular.
     """
+    if len(c) != n ** 3 or len(flat_p) != n * n:
+        raise ShapeError(f"a dim-{n} basis change needs {n ** 3} constants and "
+                         f"{n * n} matrix entries, got {len(c)} and {len(flat_p)}")
+    rows = tuple(flat_p[k * n:(k + 1) * n] for k in range(n))
+    inv_rows = LinearMap(field, rows).inverse().entries
     cols = [[(a, flat_p[a * n + i]) for a in range(n) if flat_p[a * n + i]]
             for i in range(n)]
-    inv_rows = [flat_p_inv[k * n:(k + 1) * n] for k in range(n)]
     out = []
     for col_i in cols:
         for col_j in cols:
@@ -566,9 +570,8 @@ def apply_basis_change(alg: Algebra, p: LinearMap) -> Algebra:
     require_same_field(alg.field, p.field)
     if p.rows != alg.dim or p.cols != alg.dim:
         raise ShapeError("basis-change matrix shape does not match the algebra")
-    p_inv = p.inverse()  # raises ShapeError when singular
     c = transport_constants(tuple_from_algebra(alg), tuple(itertools.chain(*p.entries)),
-                            tuple(itertools.chain(*p_inv.entries)), alg.dim, alg.field)
+                            alg.dim, alg.field)
     return algebra_from_tuple(alg.field, alg.dim, c, alg.labels)
 
 

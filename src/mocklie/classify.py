@@ -22,7 +22,7 @@ expanded under a generating set of the group (the transvections I + E_ij
 and, for p > 2, diag(w, 1, ..., 1) with w the smallest primitive root mod
 p).  A basis change is linear in the constants, so each image is one
 ``combination`` of the generator's images of the unit tuples, read once by
-``transport_tuple`` (``algebra.transport_constants``, cached inverse).  The
+``transport_tuple`` (``algebra.transport_constants``, which inverts P).  The
 group is finite, so the closure under the generators is the whole orbit.
 Everything is deterministic: solutions are produced in lexicographic order,
 orbit representatives are the lexicographically smallest members, censuses
@@ -151,15 +151,6 @@ def enumerate_solutions(dim: int, field, kind: str,
                        {} if stats is None else stats, max_scan))
 
 
-@lru_cache(maxsize=None)
-def _inverse(flat_p: tuple, n: int, p: int) -> tuple:
-    """Inverse of an n x n matrix over GF(p), both flat row-major tuples;
-    ``ShapeError`` when ``flat_p`` is singular."""
-    rows = tuple(flat_p[r * n:(r + 1) * n] for r in range(n))
-    inverse = LinearMap(PrimeField(p), rows).inverse()
-    return tuple(x for row in inverse.entries for x in row)
-
-
 def gl_order(p: int, n: int) -> int:
     """|GL_n(F_p)| = (p^n - 1)(p^n - p) ... (p^n - p^(n-1))."""
     return math.prod(p ** n - p ** i for i in range(n))
@@ -200,8 +191,8 @@ def _gl_generators(p: int, n: int) -> tuple:
 
 def transport_tuple(c: tuple, flat_p: tuple, n: int, p: int) -> tuple:
     """``c`` in the basis given by the columns of ``flat_p`` over GF(p);
-    ``ShapeError`` when ``flat_p`` is singular."""
-    return transport_constants(c, flat_p, _inverse(flat_p, n, p), n, PrimeField(p))
+    ``ShapeError`` on a wrong length of either or a singular ``flat_p``."""
+    return transport_constants(c, flat_p, n, PrimeField(p))
 
 
 @lru_cache(maxsize=None)

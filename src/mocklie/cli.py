@@ -101,7 +101,8 @@ def _parse(path, parse, obj, *args):
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_algebra(path, field=None):
+def _load_algebra(path, field_text):
+    field = _parse_field(field_text)
     alg = _parse(path, algebra_from_json, _load_json(path))
     if field is not None:
         alg = _parse(path, coerce_algebra, alg, field)
@@ -137,8 +138,7 @@ def cmd_check(args):
     kind = IDENTITY_ALIASES.get(args.identity)
     if kind is None:
         raise CliError(f"unknown identity {args.identity!r}")
-    field = _parse_field(args.field)
-    alg = _load_algebra(args.file, field)
+    alg = _load_algebra(args.file, args.field)
     report = check_identity(alg, kind, max_witnesses=cap)
     doc = _report_doc(
         "check",
@@ -150,8 +150,7 @@ def cmd_check(args):
 
 
 def cmd_subadjacent(args):
-    field = _parse_field(args.field)
-    alg = _load_algebra(args.file, field)
+    alg = _load_algebra(args.file, args.field)
     result = sub_adjacent(alg, halved=args.halved)
     _write(args.out, dumps(algebra_to_json(result)))
     return 0
@@ -181,9 +180,8 @@ def cmd_semidirect(args):
 
 def cmd_double(args):
     cap = _witness_cap(args)
-    field = _parse_field(args.field)
-    primal = _load_algebra(args.file_a, field)
-    dual = _load_algebra(args.file_astar, field)
+    primal = _load_algebra(args.file_a, args.field)
+    dual = _load_algebra(args.file_astar, args.field)
     if args.kind == "jj":
         double = assemble_jj_double(primal, dual)
     else:
@@ -212,9 +210,8 @@ def cmd_classify(args):
 
 
 def cmd_iso(args):
-    field = _parse_field(args.field)
-    a = _load_algebra(args.file_a, field)
-    b = _load_algebra(args.file_b, field)
+    a = _load_algebra(args.file_a, args.field)
+    b = _load_algebra(args.file_b, args.field)
     iso = find_isomorphism(a, b, bound=args.bound)
     doc = _report_doc(
         "iso",
@@ -245,8 +242,7 @@ def _coefficient_text(field, vec, labels):
 
 
 def cmd_table(args):
-    field = _parse_field(args.field)
-    alg = _load_algebra(args.file, field)
+    alg = _load_algebra(args.file, args.field)
     lines = [f"dim {alg.dim} over {alg.field!r}"]
     for i in range(alg.dim):
         for j in range(alg.dim):

@@ -102,6 +102,20 @@ def _require_dual_pair(primal: Algebra, dual: Algebra) -> None:
         raise ShapeError("primal and dual algebras must have equal dimension")
 
 
+def _double(ambient, primal, dual, kind) -> DoubleConstruction:
+    return DoubleConstruction(ambient, canonical_form(primal.field, primal.dim),
+                              primal, dual, kind)
+
+
+def _gated(primal, dual, kind, label, assemble) -> DoubleConstruction:
+    """``assemble(primal, dual)`` once both inputs satisfy the identity
+    ``kind``; else ``PreconditionError`` naming the failing ones."""
+    require(f"inputs are not {label}: {{names}}",
+            [("primal", check_identity(primal, kind)),
+             ("dual", check_identity(dual, kind))])
+    return assemble(primal, dual)
+
+
 def dual_structure_maps(primal: Algebra, dual: Algebra) -> PreJJMatchedPair:
     """Matched-pair candidate from the transposed multiplication operators.
 
@@ -123,15 +137,8 @@ def assemble_prejj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
     the conformance reports, which must be computable even for catalogued
     inputs that fail the pre-JJ identity.
     """
-    mp = dual_structure_maps(primal, dual)
-    ambient = prejj_bicross_product(mp)
-    return DoubleConstruction(
-        ambient=ambient,
-        form=canonical_form(primal.field, primal.dim),
-        primal=primal,
-        dual=dual,
-        kind="pre_jj",
-    )
+    return _double(prejj_bicross_product(dual_structure_maps(primal, dual)),
+                   primal, dual, "pre_jj")
 
 
 def build_prejj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
@@ -140,10 +147,7 @@ def build_prejj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
     Requires both inputs to satisfy ``left_pre_jj``; the ambient then
     satisfies it exactly when the dual-maps matched-pair checker passes.
     """
-    require("inputs are not pre-JJ: {names}",
-            [("primal", check_identity(primal, "left_pre_jj")),
-             ("dual", check_identity(dual, "left_pre_jj"))])
-    return assemble_prejj_double(primal, dual)
+    return _gated(primal, dual, "left_pre_jj", "pre-JJ", assemble_prejj_double)
 
 
 def jj_matched_pair_from_duals(primal: Algebra, dual: Algebra) -> JJMatchedPair:
@@ -167,13 +171,7 @@ def assemble_jj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
     _require_dual_pair(primal, dual)
     ambient = jj_bicross_product(JJMatchedPair(primal, dual, _left_transposes(primal),
                                                _left_transposes(dual)))
-    return DoubleConstruction(
-        ambient=ambient,
-        form=canonical_form(primal.field, primal.dim),
-        primal=primal,
-        dual=dual,
-        kind="jj",
-    )
+    return _double(ambient, primal, dual, "jj")
 
 
 def build_jj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
@@ -182,10 +180,7 @@ def build_jj_double(primal: Algebra, dual: Algebra) -> DoubleConstruction:
     Requires both inputs to satisfy ``jj``; the ambient then satisfies ``jj``
     exactly when the JJ matched-pair checker passes on the dual lift.
     """
-    require("inputs are not JJ: {names}",
-            [("primal", check_identity(primal, "jj")),
-             ("dual", check_identity(dual, "jj"))])
-    return assemble_jj_double(primal, dual)
+    return _gated(primal, dual, "jj", "JJ", assemble_jj_double)
 
 
 def check_invariance(double: DoubleConstruction,

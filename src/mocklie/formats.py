@@ -13,8 +13,8 @@ indices; omitted pairs multiply to zero).  ``dim``, ``i``, ``j``, ``p`` and
 ``FormatError``, and so do a ``module_dim`` below 1 and a ``dim`` or
 ``module_dim`` above ``MAX_DIM``.
 Bimodule ``{"algebra", "module_dim", "l", "r"}`` and representation
-``{"algebra", "module_dim", "rho"}`` containers share one reader.  This module
-imports the constructions it serializes; none of them imports it.
+``{"algebra", "module_dim", "rho"}`` containers share one reader and writer.
+This module imports the constructions it serializes; none of them imports it.
 """
 
 from __future__ import annotations
@@ -158,13 +158,13 @@ def matrix_from_json(field: Field, rows, size: int | None = None) -> LinearMap:
     return mat
 
 
+def _module_to_json(alg: Algebra, module_dim: int, **families) -> dict:
+    return {"algebra": algebra_to_json(alg), "module_dim": module_dim,
+            **{key: [matrix_to_json(m) for m in maps] for key, maps in families.items()}}
+
+
 def bimodule_to_json(bm: PreJJBimodule) -> dict:
-    return {
-        "algebra": algebra_to_json(bm.algebra),
-        "module_dim": bm.module_dim,
-        "l": [matrix_to_json(m) for m in bm.left],
-        "r": [matrix_to_json(m) for m in bm.right],
-    }
+    return _module_to_json(bm.algebra, bm.module_dim, l=bm.left, r=bm.right)
 
 
 def _module_from_json(obj, keys, build):
@@ -202,11 +202,7 @@ def bimodule_from_json(obj) -> PreJJBimodule:
 
 
 def rep_to_json(rep: JJRep) -> dict:
-    return {
-        "algebra": algebra_to_json(rep.algebra),
-        "module_dim": rep.module_dim,
-        "rho": [matrix_to_json(m) for m in rep.maps],
-    }
+    return _module_to_json(rep.algebra, rep.module_dim, rho=rep.maps)
 
 
 def rep_from_json(obj) -> JJRep:

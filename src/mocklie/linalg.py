@@ -151,6 +151,9 @@ class LinearMap:
         return LinearMap(self.field, tuple(zip(*self.entries))) if self.entries else self
 
     def column(self, j: int) -> Vector:
+        """Column ``j``; ``ShapeError`` unless 0 <= j < cols."""
+        if not 0 <= j < self.cols:
+            raise ShapeError(f"column index {j} out of range for {self.cols} columns")
         return tuple(row[j] for row in self.entries)
 
     def det(self):

@@ -168,9 +168,11 @@ def _flat_sum(field, m, products, combinations=()):
     return field.reduce(acc)
 
 
-def _algebra_defects(alg: Algebra, kind: str):
-    for indices, defect in _defects(alg, kind):
-        yield indices, defect, "algebra"
+def _folded_report(name, alg, kind, conditions, max_witnesses) -> CheckReport:
+    """Report ``name``: ``alg``'s ``kind`` defects (tag "algebra"), then ``conditions``."""
+    algebra = ((indices, defect, "algebra") for indices, defect in _defects(alg, kind))
+    return report_from_defects(name, alg.field, itertools.chain(algebra, conditions),
+                               max_witnesses)
 
 
 def _rep_condition_defects(rep: JJRep):
@@ -190,12 +192,8 @@ def check_jj_rep(rep: JJRep, max_witnesses: int = DEFAULT_MAX_WITNESSES) -> Chec
     tag ``"algebra"``), so arbitrary candidates get a plain pass/fail answer.
     Matrix defects are reported flattened row-major.
     """
-    defects = itertools.chain(
-        _algebra_defects(rep.algebra, "jj"),
-        _rep_condition_defects(rep),
-    )
-    return report_from_defects("jj_representation", rep.algebra.field,
-                               defects, max_witnesses)
+    return _folded_report("jj_representation", rep.algebra, "jj",
+                          _rep_condition_defects(rep), max_witnesses)
 
 
 def dual_rep(rep: JJRep) -> JJRep:
@@ -259,12 +257,8 @@ def check_prejj_bimodule(bm: PreJJBimodule,
     when ``prejj_semidirect`` produces a left pre-JJ algebra, for completely
     arbitrary map families.
     """
-    defects = itertools.chain(
-        _algebra_defects(bm.algebra, "left_pre_jj"),
-        _bimodule_condition_defects(bm),
-    )
-    return report_from_defects("prejj_bimodule", bm.algebra.field,
-                               defects, max_witnesses)
+    return _folded_report("prejj_bimodule", bm.algebra, "left_pre_jj",
+                          _bimodule_condition_defects(bm), max_witnesses)
 
 
 def _bimodule_displayed_defects(bm: PreJJBimodule):
@@ -290,12 +284,8 @@ def check_prejj_bimodule_displayed(bm: PreJJBimodule,
     while their semidirect sum is not pre-JJ.  It is exposed so the divergence
     can be observed rather than silently resolved.
     """
-    defects = itertools.chain(
-        _algebra_defects(bm.algebra, "left_pre_jj"),
-        _bimodule_displayed_defects(bm),
-    )
-    return report_from_defects("prejj_bimodule_displayed", bm.algebra.field,
-                               defects, max_witnesses)
+    return _folded_report("prejj_bimodule_displayed", bm.algebra, "left_pre_jj",
+                          _bimodule_displayed_defects(bm), max_witnesses)
 
 
 def prejj_semidirect(bm: PreJJBimodule) -> Algebra:

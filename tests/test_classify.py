@@ -473,6 +473,13 @@ def test_transport_rejects_singular_matrix():
         transport_tuple(SQUARE_TUPLE, (1, 2, 2, 4), 2, 5)
 
 
+@pytest.mark.parametrize("c, flat_p", [((1,) * 7, (1, 0, 0, 1)), ((1,) * 9, (1, 0, 0, 1)),
+                                       (SQUARE_TUPLE, (1, 0, 0)), (SQUARE_TUPLE, (1,) * 5)])
+def test_transport_rejects_wrong_lengths(c, flat_p):
+    with pytest.raises(ShapeError, match="needs 8 constants and 4 matrix entries"):
+        transport_tuple(c, flat_p, 2, 5)
+
+
 # An oracle for the solver's equations that shares no code with the defect
 # generators: each identity kind written as its defect on basis triples
 # (x, y, z), juxtaposition being the product, one word per term.

@@ -234,6 +234,16 @@ def test_build_jj_double_gates_on_jj(classes_qq):
         build_jj_double(classes_qq["e2e1=e2"], classes_qq["e1e1=e2"])
 
 
+@pytest.mark.parametrize("build, kind", [(build_prejj_double, "pre-JJ"),
+                                         (build_jj_double, "JJ")])
+@pytest.mark.parametrize("failing", ["primal", "dual"])
+def test_double_gate_messages_name_the_failing_input(classes_qq, build, kind, failing):
+    good, bad = classes_qq["e1e1=e2"], classes_qq["e2e1=e2"]
+    with pytest.raises(PreconditionError) as exc:
+        build(*((bad, good) if failing == "primal" else (good, bad)))
+    assert str(exc.value) == f"inputs are not {kind}: {failing}"
+
+
 # ---------------------------------------------------------------------------
 # invariance
 # ---------------------------------------------------------------------------

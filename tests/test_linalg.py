@@ -33,6 +33,14 @@ def test_basis_vector_refuses_an_index_outside_the_dimension():
             Algebra.zero(QQ, 2).basis(i)
 
 
+def test_column_refuses_an_index_outside_the_columns():
+    m = LinearMap.from_rows(QQ, [[1, 2], [3, 4]])
+    assert m.column(1) == (2, 4)
+    for j in (-1, 2):
+        with pytest.raises(ShapeError, match=f"column index {j} out of range for 2 columns"):
+            m.column(j)
+
+
 def test_transpose_involution():
     rng = seeded(3)
     m = rand_matrix(rng, GF5, 3, 4)
